@@ -91,20 +91,18 @@ def init_allocator(
     )
 
 
-def _conv1d_same(x: Array, w: Array, b: Array) -> Tuple[Array, Array]:
-    """Same-length 1-D convolution along the last axis.
+def _conv1d_valid(x: Array, w: Array, b: Array) -> Array:
+    """1-D convolution along the last axis without padding.
 
-    x: (in_channels, length); w: (out, in, width) with odd width.
-    Returns (output (out, length), zero-padded input used, kept for backward).
+    x: (in_channels, positions); w: (out, in, width) with odd width.
+    Output column i is centred on input column i + width // 2.
     """
     width = w.shape[2]
-    radius = width // 2
-    length = x.shape[1]
-    xpad = np.pad(x, ((0, 0), (radius, radius)))
+    length = x.shape[1] - width + 1
     out = np.tile(b[:, None], (1, length))
     for u in range(width):
-        out += w[:, :, u] @ xpad[:, u:u + length]
-    return out, xpad
+        out += w[:, :, u] @ x[:, u:u + length]
+    return out
 
 
 def _sigmoid(x: Array) -> Array:
@@ -118,34 +116,62 @@ def _sigmoid(x: Array) -> Array:
 
 @dataclass
 class AllocatorCache:
-    """Activations stashed by allocator_forward for the backward pass."""
+    """Activations stashed by allocator_forward for the backward pass.
+
+    Arrays run over the padded sequence; ``positions`` are the columns that
+    hold patches, every other column is zero padding.
+    """
 
     xpad: np.ndarray
     pre_relu: np.ndarray
     hidden_pad: np.ndarray
     ratios: np.ndarray
+    positions: np.ndarray
+
+
+def _patch_positions(offsets: Array, gap: int) -> Tuple[Array, int]:
+    """Columns of each patch when every image is preceded by ``gap`` zero
+    columns and the last one followed by ``gap`` more; also the total
+    number of columns."""
+    lengths = np.diff(offsets)
+    image = np.repeat(np.arange(lengths.size), lengths)
+    patches = int(offsets[-1])
+    return np.arange(patches) + gap * (image + 1), patches + gap * (lengths.size + 1)
 
 
 def allocator_forward(
-    embeddings: Array, params: AllocatorParams
+    embeddings: Array, params: AllocatorParams, offsets: Array | None = None
 ) -> Tuple[Array, AllocatorCache]:
-    """Map patch embeddings (length x dim) to per-patch ratios in (0, 1)."""
+    """Map patch embeddings (length x dim) to per-patch ratios in (0, 1).
+
+    ``offsets`` (0, L_0, L_0 + L_1, ..., length) splits the rows into the
+    patch sequences of several images; each is convolved on its own with
+    same-length zero padding. One convolution covers them all, with zero
+    columns between the images. Defaults to one sequence.
+    """
     z = check_finite("embeddings", embeddings)
     if z.ndim != 2 or z.shape[1] != params.in_channels:
         raise ValueError(
             f"embeddings must be (patches, {params.in_channels}), got {z.shape}"
         )
-    x = z.T
-    pre_relu, xpad = _conv1d_same(x, params.conv1_w, params.conv1_b)
-    hidden = np.maximum(pre_relu, 0.0)
+    if offsets is None:
+        offsets = np.array([0, z.shape[0]])
+    radius1 = params.conv1_w.shape[2] // 2
     radius2 = params.conv2_w.shape[2] // 2
-    hidden_pad = np.pad(hidden, ((0, 0), (radius2, radius2)))
-    length = x.shape[1]
-    logits = np.tile(params.conv2_b[:, None], (1, length))
-    for u in range(params.conv2_w.shape[2]):
-        logits += params.conv2_w[:, :, u] @ hidden_pad[:, u:u + length]
-    ratios = np.clip(_sigmoid(logits[0]), RATIO_CLIP, 1.0 - RATIO_CLIP)
-    return ratios, AllocatorCache(xpad, pre_relu, hidden_pad, ratios)
+    positions, columns = _patch_positions(offsets, max(radius1, radius2))
+    xpad = np.zeros((params.in_channels, columns))
+    xpad[:, positions] = z.T
+    pre_relu = np.zeros((params.hidden, columns))
+    pre_relu[:, radius1:columns - radius1] = _conv1d_valid(
+        xpad, params.conv1_w, params.conv1_b
+    )
+    hidden_pad = np.zeros_like(pre_relu)
+    hidden_pad[:, positions] = np.maximum(pre_relu[:, positions], 0.0)
+    logits = _conv1d_valid(hidden_pad, params.conv2_w, params.conv2_b)
+    ratios = np.clip(
+        _sigmoid(logits[0, positions - radius2]), RATIO_CLIP, 1.0 - RATIO_CLIP
+    )
+    return ratios, AllocatorCache(xpad, pre_relu, hidden_pad, ratios, positions)
 
 
 def allocator_backward(
@@ -156,29 +182,35 @@ def allocator_backward(
     Returns gradients for the parameters and for the input embeddings.
     """
     r = cache.ratios
-    length = r.shape[0]
-    ds = (np.asarray(grad_ratios, dtype=np.float64) * r * (1.0 - r))[None, :]
+    positions = cache.positions
+    columns = cache.xpad.shape[1]
 
     k2 = params.conv2_w.shape[2]
     radius2 = k2 // 2
+    length2 = columns - 2 * radius2
+    ds = np.zeros((1, length2))
+    ds[0, positions - radius2] = np.asarray(grad_ratios, dtype=np.float64) * r * (1 - r)
     d_w2 = np.zeros_like(params.conv2_w)
     d_hidden_pad = np.zeros_like(cache.hidden_pad)
     for u in range(k2):
-        d_w2[:, :, u] = ds @ cache.hidden_pad[:, u:u + length].T
-        d_hidden_pad[:, u:u + length] += params.conv2_w[:, :, u].T @ ds
+        d_w2[:, :, u] = ds @ cache.hidden_pad[:, u:u + length2].T
+        d_hidden_pad[:, u:u + length2] += params.conv2_w[:, :, u].T @ ds
     d_b2 = ds.sum(axis=1)
-    d_hidden = d_hidden_pad[:, radius2:radius2 + length]
-    d_pre = d_hidden * (cache.pre_relu > 0)
+    d_pre = np.zeros_like(cache.pre_relu)
+    active = cache.pre_relu[:, positions] > 0
+    d_pre[:, positions] = d_hidden_pad[:, positions] * active
 
     k1 = params.conv1_w.shape[2]
     radius1 = k1 // 2
+    length1 = columns - 2 * radius1
+    d_pre = d_pre[:, radius1:radius1 + length1]
     d_w1 = np.zeros_like(params.conv1_w)
     d_xpad = np.zeros_like(cache.xpad)
     for u in range(k1):
-        d_w1[:, :, u] = d_pre @ cache.xpad[:, u:u + length].T
-        d_xpad[:, u:u + length] += params.conv1_w[:, :, u].T @ d_pre
+        d_w1[:, :, u] = d_pre @ cache.xpad[:, u:u + length1].T
+        d_xpad[:, u:u + length1] += params.conv1_w[:, :, u].T @ d_pre
     d_b1 = d_pre.sum(axis=1)
-    d_input = d_xpad[:, radius1:radius1 + length].T
+    d_input = d_xpad[:, positions].T
     return AllocatorGrads(d_w1, d_b1, d_w2, d_b2), d_input
 
 
@@ -196,14 +228,19 @@ def count_from_ratio(ratios: Array, cap: int) -> Array:
 
 
 def ratio_target(
-    embeddings: Array, quantized: Array, primitives_per_sub: int
+    embeddings: Array,
+    quantized: Array,
+    primitives_per_sub: int,
+    offsets: Array | None = None,
 ) -> Array:
     """Per-patch supervision targets from quantization error.
 
     Squared L2 errors per patch are min-max mapped onto
-    [1/primitives_per_sub, 1]. A degenerate batch (all errors equal) maps
-    everything to the lower bound. The output is a constant teaching
-    signal: no gradient flows through it.
+    [1/primitives_per_sub, 1], separately within each image when
+    ``offsets`` (0, L_0, L_0 + L_1, ..., patches) splits the rows into
+    images. An image whose errors are all equal maps everything to the
+    lower bound. The output is a constant teaching signal: no gradient
+    flows through it.
     """
     z = np.asarray(embeddings, dtype=np.float64)
     q = np.asarray(quantized, dtype=np.float64)
@@ -212,22 +249,31 @@ def ratio_target(
     if primitives_per_sub < 1:
         raise ValueError("primitives_per_sub must be at least 1")
     errors = ((q - z) ** 2).sum(axis=1)
+    if offsets is None:
+        offsets = np.array([0, errors.shape[0]])
+    starts = np.asarray(offsets[:-1])
+    lengths = np.diff(offsets)
+    e_min = np.repeat(np.minimum.reduceat(errors, starts), lengths)
+    e_max = np.repeat(np.maximum.reduceat(errors, starts), lengths)
     lo = 1.0 / primitives_per_sub
-    e_min = errors.min()
-    e_max = errors.max()
-    if e_max == e_min:
-        return np.full(errors.shape, lo)
-    scaled = (errors - e_min) / (e_max - e_min)
-    return np.clip(lo + scaled * (1.0 - lo), lo, 1.0)
+    flat = e_max == e_min
+    scaled = (errors - e_min) / np.where(flat, 1.0, e_max - e_min)
+    return np.where(flat, lo, np.clip(lo + scaled * (1.0 - lo), lo, 1.0))
 
 
-def dpa_loss(ratios: Array, targets: Array) -> Tuple[float, Array]:
-    """Mean squared error between ratios and targets, plus d/d ratios."""
+def dpa_loss(
+    ratios: Array, targets: Array, row_weights: Array | None = None
+) -> Tuple[float, Array]:
+    """Squared error between ratios and targets, plus d/d ratios.
+
+    The mean over patches, or the sum weighted by ``row_weights`` when
+    given (weights summing to 1).
+    """
     r = np.asarray(ratios, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
     if r.shape != t.shape or r.ndim != 1:
         raise ValueError(f"length mismatch: {r.shape} vs {t.shape}")
     diff = r - t
-    loss = float(np.mean(diff * diff))
-    grad = 2.0 * diff / r.shape[0]
-    return loss, grad
+    if row_weights is None:
+        return float(np.mean(diff * diff)), 2.0 * diff / r.shape[0]
+    return float(row_weights @ (diff * diff)), 2.0 * diff * row_weights

@@ -155,13 +155,20 @@ def decode(
     return unpatchify(flat, height, width, patch), cache
 
 
-def reconstruction_loss(image: Array, recon: Array) -> Tuple[float, Array]:
-    """Mean squared error over all pixels, plus d/d recon."""
+def reconstruction_loss(
+    image: Array, recon: Array, row_weights: Array | None = None
+) -> Tuple[float, Array]:
+    """Mean squared error over all pixels, plus d/d recon.
+
+    With ``row_weights`` (one per row of a patch matrix, summing to 1) the
+    value is the weighted sum of the rows' mean squared errors.
+    """
     a = np.asarray(image, dtype=np.float64)
     b = np.asarray(recon, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     diff = b - a
-    loss = float(np.mean(diff * diff))
-    grad = 2.0 * diff / a.size
-    return loss, grad
+    if row_weights is None:
+        return float(np.mean(diff * diff)), 2.0 * diff / a.size
+    scale = row_weights[:, None] / a.shape[1]
+    return float(((diff * diff) * scale).sum()), 2.0 * diff * scale

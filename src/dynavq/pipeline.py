@@ -2,14 +2,15 @@
 
 A Model bundles all learnable parameters plus the quantization
 hyperparameters, and forward_image runs the full
-patchify -> encode -> allocate -> quantize -> decode pass for one image.
-Training and evaluation both build on this module.
+patchify -> encode -> allocate -> quantize -> decode pass for one image or
+for a batch of them at once. Training and evaluation both build on this
+module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -73,7 +74,11 @@ class Model:
 
 @dataclass
 class ForwardResult:
-    """One image's full forward pass with cached activations."""
+    """One forward pass with cached activations.
+
+    A batch's patch rows are stacked image after image; image i owns rows
+    ``offsets[i]:offsets[i + 1]``.
+    """
 
     patches: np.ndarray
     embeddings: np.ndarray
@@ -83,25 +88,34 @@ class ForwardResult:
     encoder_cache: MlpCache
     allocator_cache: AllocatorCache
     decoder_cache: MlpCache
+    offsets: np.ndarray
 
     def recon_image(self, height: int, width: int, patch: int) -> np.ndarray:
         return unpatchify(self.recon_patches, height, width, patch)
 
 
 def forward_image(
-    model: Model, image: np.ndarray, mode: Optional[QuantizeMode] = None
+    model: Model,
+    image: Union[np.ndarray, Sequence[np.ndarray]],
+    mode: Optional[QuantizeMode] = None,
 ) -> ForwardResult:
-    """Run the full pipeline on one grayscale image.
+    """Run the full pipeline on one grayscale image or a list of them.
 
-    ``mode`` defaults to the model's adaptive mode. The allocator runs in
-    every mode (its ratios are logged and trained even when a forced mode
-    ignores them).
+    A list is processed in one pass over all its patches; the images may
+    differ in size. ``mode`` defaults to the model's adaptive mode. The
+    allocator runs in every mode (its ratios are logged and trained even
+    when a forced mode ignores them).
     """
     if mode is None:
         mode = model.adaptive_mode()
-    patches = patchify(image, model.patch_size)
+    images = [image] if isinstance(image, np.ndarray) else list(image)
+    if not images:
+        raise ValueError("need at least one image")
+    per_image = [patchify(img, model.patch_size) for img in images]
+    patches = np.concatenate(per_image)
+    offsets = np.cumsum([0] + [p.shape[0] for p in per_image])
     embeddings, encoder_cache = encode(patches, model.encoder)
-    ratios, allocator_cache = allocator_forward(embeddings, model.allocator)
+    ratios, allocator_cache = allocator_forward(embeddings, model.allocator, offsets)
     quant = quantize(
         embeddings,
         model.codebook,
@@ -122,4 +136,5 @@ def forward_image(
         encoder_cache=encoder_cache,
         allocator_cache=allocator_cache,
         decoder_cache=decoder_cache,
+        offsets=offsets,
     )

@@ -2,10 +2,16 @@
 
 Embeddings are split column-wise into one chunk per sub-codebook. Each
 chunk row is scored by cosine similarity against all primitives of its
-sub-codebook, a candidate pool of the top ``pool`` primitives is formed,
-the top ``n`` of the pool are kept, and the output is their
-softmax-weighted sum. ``n`` is 1 in warm-up/top-1 mode, a constant in
-fixed mode, and allocator-driven in adaptive mode.
+sub-codebook, the top ``n`` of them are kept (ties broken by ascending
+index), and the output is their softmax-weighted sum. ``n`` is 1 in
+warm-up/top-1 mode, a constant in fixed mode, and allocator-driven in
+adaptive mode. One call quantizes every row it is given, so a training
+step quantizes all patches of its batch at once.
+
+Only each row's head, its ``cap`` most similar primitives (``cap`` being
+the mode's amount), is sorted, weighted and differentiated. The kept set
+is the top ``n`` of all primitives, which always lies inside the head, so
+the ``pool`` setting is validated but cannot change any output.
 
 Selection is non-differentiable; gradients treat the chosen index sets as
 constants and flow through the weights and the primitive values. The
@@ -107,12 +113,29 @@ class AllocationMap:
 
 @dataclass
 class ChunkCache:
+    """What one sub-codebook's forward pass keeps for the backward pass.
+
+    Only the (rows x cap) head is held: the selected code indices and
+    their weights (0.0 beyond each row's count), next to the input rows,
+    the sub-codebook and the clamped norms. The temperature and norm clamp
+    of the forward pass travel with it, so the backward pass differentiates
+    exactly the function the forward pass computed.
+    """
+
     rows: np.ndarray
-    sims: np.ndarray
-    sel_mask: np.ndarray
-    weights_dense: np.ndarray
+    codes: np.ndarray
     row_norms: np.ndarray
     code_norms: np.ndarray
+    head: np.ndarray
+    weights: np.ndarray
+    temperature: float
+    eps: float
+
+    @property
+    def sims(self) -> np.ndarray:
+        """Full (rows x codes) cosine similarities, recomputed on access
+        with the arithmetic the forward pass selected with."""
+        return _cosine(self.rows, self.codes, self.row_norms, self.code_norms)
 
 
 @dataclass
@@ -140,71 +163,125 @@ def chunk_embeddings(embeddings: Array, subcodebooks: int) -> List[Array]:
     return [z[:, j * width:(j + 1) * width] for j in range(subcodebooks)]
 
 
-def _quantize_rows(
+def _clamped_norms(x: Array, eps: float) -> Array:
+    """Euclidean norms along the last axis, clamped below at ``eps``."""
+    return np.maximum(np.sqrt((x * x).sum(axis=-1)), eps)
+
+
+def _cosine(rows: Array, codes: Array, row_norms: Array, code_norms: Array) -> Array:
+    return (rows / row_norms[:, None]) @ (codes / code_norms[:, None]).T
+
+
+def _flat_index(cols: Array, width: int) -> Array:
+    """Positions of the per-row column indices ``cols`` (rows x k) in a
+    C-ordered array with ``width`` columns."""
+    return cols + (np.arange(cols.shape[0]) * width)[:, None]
+
+
+def select_head(sims: Array, cap: int) -> Array:
+    """The ``cap`` most similar codes of each row, most similar first.
+
+    Equals ``np.argsort(-sims, axis=1, kind="stable")[:, :cap]``: ties
+    break by ascending code index. A width-1 head is an argmax. A wider
+    head is the codes at or above the row's ``cap``-th largest similarity,
+    found by a partition, then sorted. A row where more than ``cap`` codes
+    reach that bound (a tie across the boundary), or whose head repeats a
+    similarity, is re-selected by the exact stable sort.
+    """
+    rows, num_codes = sims.shape
+    if cap == 1:
+        return np.argmax(sims, axis=1)[:, None]
+    if cap >= num_codes:
+        return np.argsort(-sims, axis=1, kind="stable")
+    bound = np.partition(sims, num_codes - cap, axis=1)[:, num_codes - cap]
+    inside = sims >= bound[:, None]
+    flat = np.flatnonzero(inside)
+    tied = np.zeros(rows, dtype=bool)
+    if flat.size > rows * cap:
+        tied = np.count_nonzero(inside, axis=1) > cap
+        inside[tied] = np.arange(num_codes) < cap  # placeholder, redone below
+        flat = np.flatnonzero(inside)
+    # flat positions in ascending order: each row's head by ascending index
+    flat = flat.reshape(rows, cap)
+    head_neg = -np.take(sims, flat)
+    inner = _flat_index(np.argsort(head_neg, axis=1), cap)
+    head = np.take(flat, inner) % num_codes
+    ordered = np.take(head_neg, inner)
+    repeated = ordered[:, 1:] == ordered[:, :-1]
+    if repeated.any():
+        tied |= repeated.any(axis=1)
+    if tied.any():
+        head[tied] = np.argsort(-sims[tied], axis=1, kind="stable")[:, :cap]
+    return head
+
+
+def _head_weights(
+    head_sims: Array, keep: Array, counts: Array, temperature: float, weighting: str
+) -> Array:
+    """Weights over each row's head, 0.0 beyond its count."""
+    if weighting == "softmax":
+        # heads are sorted, so column 0 holds each row's largest similarity
+        scaled = head_sims / temperature
+        expd = np.where(keep, np.exp(scaled - scaled[:, :1]), 0.0)
+        return expd / expd.sum(axis=1, keepdims=True)
+    if weighting == "linear":
+        picked = np.where(keep, head_sims, 0.0)
+        denom = picked.sum(axis=1, keepdims=True)
+        uniform = keep / counts[:, None]
+        safe = np.abs(denom) > LINEAR_DENOM_EPS
+        return np.where(safe, picked / np.where(safe, denom, 1.0), uniform)
+    raise ValueError(f"unknown weighting {weighting!r}")
+
+
+def _scatter(flat: Array, values: Array, num_codes: int) -> Array:
+    """Dense (rows x codes) matrix holding ``values`` at the head entries
+    ``flat`` (see _flat_index) and zeros elsewhere, so head-weighted sums
+    run as BLAS matmuls."""
+    dense = np.zeros((flat.shape[0], num_codes))
+    dense.reshape(-1)[flat] = values
+    return dense
+
+
+def _quantize_sub(
     rows: Array,
-    sub_cb: Array,
+    codes: Array,
+    row_norms: Array,
     counts: Array,
-    pool: int,
+    cap: int,
     temperature: float,
     eps: float,
     weighting: str,
-) -> Tuple[Array, Array, Array, ChunkCache]:
-    """Vectorized selection and weighted sum for one sub-codebook.
+) -> Tuple[Array, ChunkCache]:
+    """Selection and weighted sum of every row against one sub-codebook.
 
-    Returns (outputs, order, dense weights, cache). ``order`` sorts the
-    primitives by descending similarity with ties broken by ascending
-    index, so all selections are deterministic.
+    Returns the outputs and the cache; ``cache.head`` lists each row's
+    ``cap`` most similar codes in selection order.
     """
-    num_codes = sub_cb.shape[0]
-    if not 1 <= pool <= num_codes:
-        raise ValueError(f"pool must lie in [1, {num_codes}], got {pool}")
-    if np.any(counts < 1) or np.any(counts > pool):
-        raise ValueError("per-patch counts must lie in [1, pool]")
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-
-    dots = np.einsum("ld,vd->lv", rows, sub_cb, optimize=False)
-    row_norms = np.maximum(
-        np.sqrt(np.einsum("ld,ld->l", rows, rows, optimize=False)), eps
-    )
-    code_norms = np.maximum(
-        np.sqrt(np.einsum("vd,vd->v", sub_cb, sub_cb, optimize=False)), eps
-    )
-    sims = dots / np.outer(row_norms, code_norms)
-
-    order = np.argsort(-sims, axis=1, kind="stable")
-    ranks = np.empty_like(order)
-    np.put_along_axis(
-        ranks, order, np.broadcast_to(np.arange(num_codes), sims.shape), axis=1
-    )
-    # candidate pool = top `pool`; kept set = top counts[i] of the pool
-    sel_mask = ranks < np.asarray(counts, dtype=np.int64)[:, None]
-
-    if weighting == "softmax":
-        scaled = sims / temperature
-        masked = np.where(sel_mask, scaled, -np.inf)
-        row_max = masked.max(axis=1, keepdims=True)
-        expd = np.where(sel_mask, np.exp(masked - row_max), 0.0)
-        weights = expd / expd.sum(axis=1, keepdims=True)
-    elif weighting == "linear":
-        picked = np.where(sel_mask, sims, 0.0)
-        denom = picked.sum(axis=1, keepdims=True)
-        uniform = sel_mask / np.maximum(sel_mask.sum(axis=1, keepdims=True), 1)
-        safe = np.abs(denom) > LINEAR_DENOM_EPS
-        weights = np.where(safe, picked / np.where(safe, denom, 1.0), uniform)
+    code_norms = _clamped_norms(codes, eps)
+    sims = _cosine(rows, codes, row_norms, code_norms)
+    head = select_head(sims, cap)
+    flat = _flat_index(head, codes.shape[0])
+    head_sims = np.take(sims, flat)
+    del sims
+    keep = np.arange(cap) < counts[:, None]
+    weights = _head_weights(head_sims, keep, counts, temperature, weighting)
+    if cap == 1:
+        out = codes[head[:, 0]] * weights
     else:
-        raise ValueError(f"unknown weighting {weighting!r}")
-
-    out = np.einsum("lv,vd->ld", weights, sub_cb, optimize=False)
+        out = _scatter(flat, weights, codes.shape[0]) @ codes
     cache = ChunkCache(
         rows=rows,
-        sims=sims,
-        sel_mask=sel_mask,
-        weights_dense=weights,
+        codes=codes,
         row_norms=row_norms,
         code_norms=code_norms,
+        head=head,
+        weights=weights,
+        temperature=temperature,
+        eps=eps,
     )
-    return out, order, weights, cache
+    return out, cache
 
 
 def quantize_chunk(
@@ -225,13 +302,15 @@ def quantize_chunk(
     cb = np.asarray(sub_cb, dtype=np.float64)
     if cb.ndim != 2 or cb.shape[1] != row.shape[1]:
         raise ValueError("sub-codebook width must match the chunk")
+    if not 1 <= pool <= cb.shape[0]:
+        raise ValueError(f"pool must lie in [1, {cb.shape[0]}], got {pool}")
     if not 1 <= n <= pool:
         raise ValueError(f"n must lie in [1, pool={pool}], got {n}")
-    out, order, weights, _ = _quantize_rows(
-        row, cb, np.array([n]), pool, temperature, eps, weighting
+    out, cache = _quantize_sub(
+        row, cb, _clamped_norms(row, eps), np.array([n]), n, temperature, eps,
+        weighting,
     )
-    idx = order[0, :n]
-    return out[0], idx, weights[0, idx]
+    return out[0], cache.head[0], cache.weights[0]
 
 
 def quantize(
@@ -247,6 +326,7 @@ def quantize(
 ) -> QuantizeOutput:
     """Quantize a full embedding matrix.
 
+    Rows may come from any number of images: one call covers them all.
     Per-patch counts are 1 (top1 mode), ``mode.amount`` (fixed mode), or
     derived from ``ratios`` (adaptive mode, capped at ``mode.amount``).
     Selected primitives' usage counters on ``cb`` are incremented.
@@ -264,7 +344,6 @@ def quantize(
     if mode.kind == "top1":
         counts = np.ones(patches, dtype=np.int64)
         cap = 1
-        eff_pool = 1
     elif mode.kind == "fixed":
         if mode.amount > num_codes:
             raise ValueError(
@@ -272,7 +351,6 @@ def quantize(
             )
         counts = np.full(patches, mode.amount, dtype=np.int64)
         cap = mode.amount
-        eff_pool = mode.amount
     else:
         if mode.amount > num_codes:
             raise ValueError(
@@ -292,24 +370,25 @@ def quantize(
             )
 
     chunks = chunk_embeddings(z, cb.subcodebooks)
+    width = cb.primitive_dim
+    row_norms = _clamped_norms(z.reshape(patches, cb.subcodebooks, width), eps)
     quantized = np.empty_like(z)
     indices = np.full((cb.subcodebooks, patches, cap), -1, dtype=np.int64)
-    sel_weights = np.zeros((cb.subcodebooks, patches, cap))
+    sel_weights = np.empty((cb.subcodebooks, patches, cap))
     usage_delta = np.zeros((cb.subcodebooks, num_codes), dtype=np.int64)
     caches: List[ChunkCache] = []
-    width = cb.primitive_dim
-    col_index = np.arange(cap)[None, :]
+    keep = np.arange(cap) < counts[:, None]
     for j in range(cb.subcodebooks):
-        out, order, weights, cache = _quantize_rows(
-            chunks[j], cb.entries[j], counts, eff_pool, temperature, eps, weighting
+        out, cache = _quantize_sub(
+            chunks[j], cb.entries[j], row_norms[:, j], counts, cap, temperature,
+            eps, weighting,
         )
         quantized[:, j * width:(j + 1) * width] = out
-        head = order[:, :cap]
-        keep = col_index < counts[:, None]
-        indices[j] = np.where(keep, head, -1)
-        sel_weights[j] = np.where(keep, np.take_along_axis(weights, head, axis=1), 0.0)
-        selected_ids = np.nonzero(cache.sel_mask)[1]
-        usage_delta[j] = np.bincount(selected_ids, minlength=num_codes)
+        indices[j] = np.where(keep, cache.head, -1)
+        # the cache shares the map's weights rather than holding a copy
+        sel_weights[j] = cache.weights
+        cache.weights = sel_weights[j]
+        usage_delta[j] = np.bincount(cache.head[keep], minlength=num_codes)
         caches.append(cache)
     cb.usage_counts += usage_delta.astype(np.uint64)
 
@@ -341,62 +420,61 @@ def quantize_backward(
     grad_quantized: Array,
     caches: Sequence[ChunkCache],
     cb: Codebook,
-    temperature: float = 1.0,
-    eps: float = DEFAULT_NORM_EPS,
 ) -> Tuple[Array, Array]:
     """Exact gradients through the weighted sum, selection held fixed.
 
     Given dL/d(quantized), returns (dL/d entries, dL/d embeddings) flowing
     through both the primitive values and the softmax weights (whose
-    similarities depend on the inputs and the primitives).
+    similarities depend on the inputs and the primitives), at the
+    temperature and norm clamp the forward pass used. Only the selected
+    head enters the arithmetic; weighted sums over it run as matmuls
+    against the head scattered into a dense (rows x codes) matrix.
     """
     g = np.asarray(grad_quantized, dtype=np.float64)
     width = cb.primitive_dim
+    num_codes = cb.primitives_per_sub
     d_entries = np.zeros_like(cb.entries)
     d_input = np.zeros((g.shape[0], cb.embed_dim))
     for j, cache in enumerate(caches):
         gj = g[:, j * width:(j + 1) * width]
-        w = cache.weights_dense
-        sims = cache.sims
-        rows = cache.rows
-        sub_cb = cb.entries[j]
-        # direct path through the primitive values
-        d_entries[j] += np.einsum("lv,ld->vd", w, gj, optimize=False)
-        # path through the weights
-        d_w = np.einsum("ld,vd->lv", gj, sub_cb, optimize=False)
-        d_w = np.where(cache.sel_mask, d_w, 0.0)
-        row_dot = (w * d_w).sum(axis=1, keepdims=True)
-        d_sims = w * (d_w - row_dot) / temperature
-        # cosine backward: sims = <z, c> / (|z| |c|) with clamped norms
+        head, w = cache.head, cache.weights
+        rows, codes = cache.rows, cache.codes
         nz = cache.row_norms
         nc = cache.code_norms
-        scale = d_sims / np.outer(nz, nc)
-        d_input[:, j * width:(j + 1) * width] += np.einsum(
-            "lv,vd->ld", scale, sub_cb, optimize=False
+        flat = _flat_index(head, num_codes)
+        head_sims = np.take(cache.sims, flat)
+        # path through the weights (softmax backward on the head)
+        d_w = np.take(gj @ codes.T, flat)
+        row_dot = (w * d_w).sum(axis=1, keepdims=True)
+        d_sims = w * (d_w - row_dot) / cache.temperature
+        # cosine backward: sims = <z, c> / (|z| |c|) with clamped norms
+        scale = _scatter(flat, d_sims / (nz[:, None] * nc[head]), num_codes)
+        corr = d_sims * head_sims
+        row_corr = corr.sum(axis=1) * (nz > cache.eps)
+        col_corr = np.bincount(head.ravel(), corr.ravel(), minlength=num_codes)
+        col_corr *= nc > cache.eps
+        d_input[:, j * width:(j + 1) * width] = (
+            scale @ codes - (row_corr / (nz * nz))[:, None] * rows
         )
-        d_entries[j] += np.einsum("lv,ld->vd", scale, rows, optimize=False)
-        row_unclamped = (
-            np.sqrt(np.einsum("ld,ld->l", rows, rows, optimize=False)) > eps
-        )
-        col_unclamped = (
-            np.sqrt(np.einsum("vd,vd->v", sub_cb, sub_cb, optimize=False)) > eps
-        )
-        row_corr = (d_sims * sims).sum(axis=1) * row_unclamped
-        col_corr = (d_sims * sims).sum(axis=0) * col_unclamped
-        d_input[:, j * width:(j + 1) * width] -= (
-            row_corr / (nz * nz)
-        )[:, None] * rows
-        d_entries[j] -= (col_corr / (nc * nc))[:, None] * sub_cb
+        d_entries[j] = scale.T @ rows
+        del scale
+        # direct path through the primitive values
+        d_entries[j] += _scatter(flat, w, num_codes).T @ gj
+        d_entries[j] -= (col_corr / (nc * nc))[:, None] * codes
     return d_entries, d_input
 
 
 def commitment_loss(
-    embeddings: Array, quantized: Array, beta: float
+    embeddings: Array,
+    quantized: Array,
+    beta: float,
+    row_weights: Optional[Array] = None,
 ) -> Tuple[float, Array, Array]:
     """VQ commitment objective with stop-gradient semantics.
 
     Value is ``beta * mean_i |z_i - sg(q_i)|^2 + mean_i |sg(z_i) - q_i|^2``
-    (mean over patches of per-patch squared L2 norms). Returns the value
+    (mean over patches of per-patch squared L2 norms, or their sum weighted
+    by ``row_weights`` when given, weights summing to 1). Returns the value
     plus the encoder-side gradient (w.r.t. the embeddings, from the first
     term) and the codebook-side gradient (w.r.t. the quantized output,
     from the second term). Decoder gradients are bridged to the encoder
@@ -408,12 +486,14 @@ def commitment_loss(
         raise ValueError(f"shape mismatch: {z.shape} vs {q.shape}")
     if beta < 0:
         raise ValueError("beta must be non-negative")
-    patches = z.shape[0]
-    mean_err = float(np.mean(((z - q) ** 2).sum(axis=1)))
-    value = beta * mean_err + mean_err
-    d_embeddings = 2.0 * beta * (z - q) / patches
-    d_quantized = 2.0 * (q - z) / patches
-    return value, d_embeddings, d_quantized
+    errors = ((z - q) ** 2).sum(axis=1)
+    if row_weights is None:
+        mean_err = float(np.mean(errors))
+        value = beta * mean_err + mean_err
+        return value, 2.0 * beta * (z - q) / z.shape[0], 2.0 * (q - z) / z.shape[0]
+    mean_err = float(row_weights @ errors)
+    w = row_weights[:, None]
+    return beta * mean_err + mean_err, 2.0 * beta * (z - q) * w, 2.0 * (q - z) * w
 
 
 def straight_through(decoder_grad: Array) -> Array:

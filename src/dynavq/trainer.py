@@ -1,12 +1,13 @@
 """End-to-end training loop.
 
-One step runs every batch image through the pipeline, assembles the total
-loss (reconstruction + commitment, plus the diversity and allocation
-losses once the warm-up phase ends), backpropagates through the
-hand-derived gradients with a straight-through bridge at the quantizer,
-and applies Adam. The loop is fully deterministic: batches are drawn from
-a per-step derived RNG, so resuming from a checkpoint reproduces the
-uninterrupted trajectory bit for bit.
+One step runs the batch's images through the pipeline in one pass over
+their stacked patches, assembles the total loss (reconstruction +
+commitment, plus the diversity and allocation losses once the warm-up
+phase ends), backpropagates through the hand-derived gradients with a
+straight-through bridge at the quantizer, and applies Adam. The loop is
+fully deterministic: batches are drawn from a per-step derived RNG, so
+resuming from a checkpoint reproduces the uninterrupted trajectory bit for
+bit.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from dynavq.allocator import (
+    AllocatorGrads,
     allocator_backward,
     dpa_loss,
     init_allocator,
@@ -283,85 +285,50 @@ def train_step(
     mode = config.active_mode() if active else QuantizeMode.top1()
 
     cb = model.codebook
-    grads: Dict[str, np.ndarray] = {
-        "codebook.entries": np.zeros_like(cb.entries),
-        "allocator.conv1_w": np.zeros_like(model.allocator.conv1_w),
-        "allocator.conv1_b": np.zeros_like(model.allocator.conv1_b),
-        "allocator.conv2_w": np.zeros_like(model.allocator.conv2_w),
-        "allocator.conv2_b": np.zeros_like(model.allocator.conv2_b),
-        "encoder.w1": np.zeros_like(model.encoder.w1),
-        "encoder.b1": np.zeros_like(model.encoder.b1),
-        "encoder.w2": np.zeros_like(model.encoder.w2),
-        "encoder.b2": np.zeros_like(model.encoder.b2),
-        "decoder.w1": np.zeros_like(model.decoder.w1),
-        "decoder.b1": np.zeros_like(model.decoder.b1),
-        "decoder.w2": np.zeros_like(model.decoder.w2),
-        "decoder.b2": np.zeros_like(model.decoder.b2),
-    }
-    sums = {"rec": 0.0, "commit": 0.0, "dpa": 0.0}
-    usage_before = cb.usage_counts.copy()
-    all_counts: List[np.ndarray] = []
-    all_ratios: List[np.ndarray] = []
-    all_targets: List[np.ndarray] = []
+    # one pass over every patch of the batch; each row carries 1 / (n L_i)
+    # for an image of L_i patches, so every loss is the mean over images of
+    # the per-image mean, whatever the image sizes
+    fwd = forward_image(model, list(batch), mode)
+    lengths = np.diff(fwd.offsets)
+    row_weights = np.repeat(1.0 / (len(batch) * lengths), lengths)
+    z = fwd.embeddings
+    q = fwd.quant.quantized
 
-    n = len(batch)
-    for image in batch:
-        fwd = forward_image(model, image, mode)
-        z = fwd.embeddings
-        q = fwd.quant.quantized
+    # pixel MSE equals the patch-matrix MSE (same multiset of values)
+    rec, d_recon = reconstruction_loss(fwd.patches, fwd.recon_patches, row_weights)
+    commit, d_z_commit, d_q_commit = commitment_loss(z, q, config.beta, row_weights)
+    targets = ratio_target(z, q, cb.primitives_per_sub, fwd.offsets)
+    dpa, d_ratios = dpa_loss(fwd.ratios, targets, row_weights)
 
-        # pixel MSE equals the patch-matrix MSE (same multiset of values)
-        rec, d_recon = reconstruction_loss(fwd.patches, fwd.recon_patches)
-        commit, d_z_commit, d_q_commit = commitment_loss(z, q, config.beta)
-        target = ratio_target(z, q, cb.primitives_per_sub)
-        dpa, d_ratios = dpa_loss(fwd.ratios, target)
-
-        dec_grads, d_q_rec = mlp_backward(
-            config.lambda_rec * d_recon, fwd.decoder_cache, model.decoder
+    dec_grads, d_q_rec = mlp_backward(
+        config.lambda_rec * d_recon, fwd.decoder_cache, model.decoder
+    )
+    d_z_total = straight_through(d_q_rec) + d_z_commit
+    d_entries, _ = quantize_backward(d_q_commit, fwd.quant.cache, cb)
+    if active:
+        alloc_grads, d_z_alloc = allocator_backward(
+            config.lambda_dpa * d_ratios, fwd.allocator_cache, model.allocator
         )
-        d_z_total = straight_through(d_q_rec) + d_z_commit
-        d_entries, _ = quantize_backward(
-            d_q_commit, fwd.quant.cache, cb, temperature=config.temperature
+        d_z_total = d_z_total + d_z_alloc
+    else:
+        alloc = model.allocator
+        alloc_grads = AllocatorGrads(
+            np.zeros_like(alloc.conv1_w), np.zeros_like(alloc.conv1_b),
+            np.zeros_like(alloc.conv2_w), np.zeros_like(alloc.conv2_b),
         )
-        if active:
-            alloc_grads, d_z_alloc = allocator_backward(
-                config.lambda_dpa * d_ratios, fwd.allocator_cache, model.allocator
-            )
-            d_z_total = d_z_total + d_z_alloc
-            grads["allocator.conv1_w"] += alloc_grads.conv1_w / n
-            grads["allocator.conv1_b"] += alloc_grads.conv1_b / n
-            grads["allocator.conv2_w"] += alloc_grads.conv2_w / n
-            grads["allocator.conv2_b"] += alloc_grads.conv2_b / n
-        enc_grads, _ = mlp_backward(d_z_total, fwd.encoder_cache, model.encoder)
-
-        grads["codebook.entries"] += d_entries / n
-        grads["encoder.w1"] += enc_grads.w1 / n
-        grads["encoder.b1"] += enc_grads.b1 / n
-        grads["encoder.w2"] += enc_grads.w2 / n
-        grads["encoder.b2"] += enc_grads.b2 / n
-        grads["decoder.w1"] += dec_grads.w1 / n
-        grads["decoder.b1"] += dec_grads.b1 / n
-        grads["decoder.w2"] += dec_grads.w2 / n
-        grads["decoder.b2"] += dec_grads.b2 / n
-
-        sums["rec"] += rec / n
-        sums["commit"] += commit / n
-        sums["dpa"] += dpa / n
-        all_counts.append(fwd.quant.alloc.counts)
-        all_ratios.append(fwd.ratios)
-        all_targets.append(target)
+    enc_grads, _ = mlp_backward(d_z_total, fwd.encoder_cache, model.encoder)
 
     dqp, d_cents = diversity_loss(centroids(cb))
     if active:
-        grads["codebook.entries"] += config.lambda_dqp * diversity_grad_entries(
+        d_entries = d_entries + config.lambda_dqp * diversity_grad_entries(
             cb, d_cents
         )
 
     components = {
-        "rec": sums["rec"],
-        "commit": sums["commit"],
+        "rec": rec,
+        "commit": commit,
         "dqp": dqp if active else 0.0,
-        "dpa": sums["dpa"] if active else 0.0,
+        "dpa": dpa if active else 0.0,
     }
     loss = total_loss(components, config, current_phase)
 
@@ -369,7 +336,7 @@ def train_step(
     opt.t += 1
     lr = config.learning_rate
     new_codebook = apply_codebook_grads(
-        cb, grads["codebook.entries"], opt.step_rule("codebook.entries", lr)
+        cb, d_entries, opt.step_rule("codebook.entries", lr)
     )
     alloc = model.allocator
     enc = model.encoder
@@ -378,29 +345,28 @@ def train_step(
         model,
         codebook=new_codebook,
         allocator=type(alloc)(
-            opt.step_rule("allocator.conv1_w", lr)(alloc.conv1_w, grads["allocator.conv1_w"]),
-            opt.step_rule("allocator.conv1_b", lr)(alloc.conv1_b, grads["allocator.conv1_b"]),
-            opt.step_rule("allocator.conv2_w", lr)(alloc.conv2_w, grads["allocator.conv2_w"]),
-            opt.step_rule("allocator.conv2_b", lr)(alloc.conv2_b, grads["allocator.conv2_b"]),
+            opt.step_rule("allocator.conv1_w", lr)(alloc.conv1_w, alloc_grads.conv1_w),
+            opt.step_rule("allocator.conv1_b", lr)(alloc.conv1_b, alloc_grads.conv1_b),
+            opt.step_rule("allocator.conv2_w", lr)(alloc.conv2_w, alloc_grads.conv2_w),
+            opt.step_rule("allocator.conv2_b", lr)(alloc.conv2_b, alloc_grads.conv2_b),
         ),
         encoder=type(enc)(
-            opt.step_rule("encoder.w1", lr)(enc.w1, grads["encoder.w1"]),
-            opt.step_rule("encoder.b1", lr)(enc.b1, grads["encoder.b1"]),
-            opt.step_rule("encoder.w2", lr)(enc.w2, grads["encoder.w2"]),
-            opt.step_rule("encoder.b2", lr)(enc.b2, grads["encoder.b2"]),
+            opt.step_rule("encoder.w1", lr)(enc.w1, enc_grads.w1),
+            opt.step_rule("encoder.b1", lr)(enc.b1, enc_grads.b1),
+            opt.step_rule("encoder.w2", lr)(enc.w2, enc_grads.w2),
+            opt.step_rule("encoder.b2", lr)(enc.b2, enc_grads.b2),
         ),
         decoder=type(dec)(
-            opt.step_rule("decoder.w1", lr)(dec.w1, grads["decoder.w1"]),
-            opt.step_rule("decoder.b1", lr)(dec.b1, grads["decoder.b1"]),
-            opt.step_rule("decoder.w2", lr)(dec.w2, grads["decoder.w2"]),
-            opt.step_rule("decoder.b2", lr)(dec.b2, grads["decoder.b2"]),
+            opt.step_rule("decoder.w1", lr)(dec.w1, dec_grads.w1),
+            opt.step_rule("decoder.b1", lr)(dec.b1, dec_grads.b1),
+            opt.step_rule("decoder.w2", lr)(dec.w2, dec_grads.w2),
+            opt.step_rule("decoder.b2", lr)(dec.b2, dec_grads.b2),
         ),
     )
 
-    counts = np.concatenate(all_counts)
-    ratios = np.concatenate(all_ratios)
-    targets = np.concatenate(all_targets)
-    usage_step = (new_model.codebook.usage_counts - usage_before).astype(np.float64)
+    counts = fwd.quant.alloc.counts
+    ratios = fwd.ratios
+    usage_step = fwd.quant.usage_delta.astype(np.float64)
     perplexity = float(np.mean(codebook_perplexity(usage_step)))
     metrics_row = {
         "step": state.step,
@@ -420,7 +386,6 @@ def train_step(
         model=new_model, opt=opt, step=state.step + 1, config=config
     )
     return new_state, metrics_row, raw
-
 
 
 def _format_row(row: Dict[str, float]) -> str:

@@ -1,0 +1,82 @@
+"""Head selection: the partitioned top-``cap`` against a full stable sort."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from dynavq.codebook import Codebook, init_codebook
+from dynavq.quantizer import QuantizeMode, quantize, select_head
+
+
+def stable_head(sims, cap):
+    return np.argsort(-sims, axis=1, kind="stable")[:, :cap]
+
+
+@st.composite
+def tied_sims(draw):
+    """Similarity matrices full of ties: a few distinct levels, all-zero
+    rows, and rows whose boundary value at ``cap`` is repeated just past
+    it."""
+    codes = draw(st.integers(2, 12))
+    rows = draw(st.integers(1, 8))
+    cap = draw(st.sampled_from(sorted({1, 2, codes - 1, codes})))
+    levels = st.sampled_from([-1.0, -0.25, 0.0, 0.5, 1.0])
+    sims = draw(arrays(np.float64, (rows, codes), elements=levels))
+    zero = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    sims[np.array(zero)] = 0.0
+    if cap < codes:
+        for i in draw(st.sets(st.integers(0, rows - 1))):
+            order = np.argsort(-sims[i], kind="stable")
+            sims[i, order[cap]] = sims[i, order[cap - 1]]
+    return sims, cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_sims())
+def test_head_equals_stable_argsort(case):
+    sims, cap = case
+    assert np.array_equal(select_head(sims, cap), stable_head(sims, cap))
+
+
+@st.composite
+def duplicated_codebooks(draw):
+    """A sub-codebook whose codes repeat, and rows that include zeros and
+    copies of codes, so whole groups of similarities tie."""
+    distinct = draw(st.integers(1, 4))
+    codes = draw(st.integers(max(2, distinct), 10))
+    dim = draw(st.integers(1, 3))
+    small = st.integers(-2, 2).map(float)
+    base = draw(arrays(np.float64, (distinct, dim), elements=small))
+    picks = draw(arrays(np.int64, codes, elements=st.integers(0, distinct - 1)))
+    entries = base[picks]
+    rows = draw(arrays(np.float64, (draw(st.integers(1, 6)), dim), elements=small))
+    cap = draw(st.sampled_from(sorted({1, 2, codes - 1, codes})))
+    return entries, rows, cap
+
+
+@settings(max_examples=200, deadline=None)
+@given(duplicated_codebooks())
+def test_quantize_selects_stable_argsort_head(case):
+    entries, rows, cap = case
+    cb = Codebook(entries[None], np.zeros((1, entries.shape[0]), dtype=np.uint64))
+    out = quantize(rows, cb, None, QuantizeMode.fixed_top_n(cap))
+    (cache,) = out.cache
+    assert np.array_equal(out.alloc.indices[0], stable_head(cache.sims, cap))
+
+
+def test_pool_changes_no_output():
+    """The kept set is the top-n of all codes, so widening the pool from
+    the cap to the whole sub-codebook changes nothing."""
+    rng = np.random.default_rng(4)
+    z = rng.normal(size=(40, 8))
+    ratios = rng.uniform(0.01, 0.99, size=40)
+    cb = init_codebook(2, 32, 4, seed=6)
+    a, b = (
+        quantize(z, cb.copy(), ratios, QuantizeMode.adaptive(8), pool=pool)
+        for pool in (8, 32)
+    )
+    assert a.quantized.tobytes() == b.quantized.tobytes()
+    assert a.alloc.indices.tobytes() == b.alloc.indices.tobytes()
+    assert a.alloc.weights.tobytes() == b.alloc.weights.tobytes()
+    assert a.usage_delta.tobytes() == b.usage_delta.tobytes()
