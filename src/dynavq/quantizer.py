@@ -216,7 +216,7 @@ def select_head(sims: Array, cap: int) -> Array:
 
 
 def _head_weights(
-    head_sims: Array, keep: Array, counts: Array, temperature: float, weighting: str
+    head_sims: Array, keep: Array, temperature: float, weighting: str
 ) -> Array:
     """Weights over each row's head, 0.0 beyond its count."""
     if weighting == "softmax":
@@ -227,7 +227,7 @@ def _head_weights(
     if weighting == "linear":
         picked = np.where(keep, head_sims, 0.0)
         denom = picked.sum(axis=1, keepdims=True)
-        uniform = keep / counts[:, None]
+        uniform = keep / keep.sum(axis=1, keepdims=True)
         safe = np.abs(denom) > LINEAR_DENOM_EPS
         return np.where(safe, picked / np.where(safe, denom, 1.0), uniform)
     raise ValueError(f"unknown weighting {weighting!r}")
@@ -266,7 +266,7 @@ def _quantize_sub(
     head_sims = np.take(sims, flat)
     del sims
     keep = np.arange(cap) < counts[:, None]
-    weights = _head_weights(head_sims, keep, counts, temperature, weighting)
+    weights = _head_weights(head_sims, keep, temperature, weighting)
     if cap == 1:
         out = codes[head[:, 0]] * weights
     else:
