@@ -191,8 +191,6 @@ def select_head(sims: Array, cap: int) -> Array:
     rows, num_codes = sims.shape
     if cap == 1:
         return np.argmax(sims, axis=1)[:, None]
-    if cap >= num_codes:
-        return np.argsort(-sims, axis=1, kind="stable")
     bound = np.partition(sims, num_codes - cap, axis=1)[:, num_codes - cap]
     inside = sims >= bound[:, None]
     flat = np.flatnonzero(inside)
