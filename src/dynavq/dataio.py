@@ -56,37 +56,27 @@ class Dataset:
         return len(self.items)
 
 
-def _fill_patch(patch_view: Array, label: int, rng: np.random.Generator) -> None:
-    p = patch_view.shape[0]
-    if label == 0:
-        patch_view[:] = rng.uniform()
-    elif label == 1:
-        c0, c1 = rng.uniform(size=2)
-        axis = int(rng.integers(3))  # horizontal, vertical, diagonal ramp
-        x = np.arange(p)
-        if p == 1:
-            t = np.zeros((1, 1))
-        elif axis == 0:
-            t = np.broadcast_to(x / (p - 1), (p, p))
-        elif axis == 1:
-            t = np.broadcast_to((x / (p - 1))[:, None], (p, p))
-        else:
-            t = (x[:, None] + x[None, :]) / (2 * (p - 1))
-        patch_view[:] = c0 + (c1 - c0) * t
-    elif label == 2:
-        # integer frequencies up to p/4 stay alias-free on the p-grid and
-        # give variance A^2/2 exactly for any phase
-        max_f = max(1, p // 4)
-        kx = ky = 0
-        while kx == 0 and ky == 0:
-            kx = int(rng.integers(0, max_f + 1))
-            ky = int(rng.integers(0, max_f + 1))
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        x = np.arange(p)
-        grid = 2.0 * np.pi * (kx * x[None, :] + ky * x[:, None]) / p
-        patch_view[:] = 0.5 + TEXTURE_AMPLITUDE * np.sin(grid + phase)
-    else:
-        patch_view[:] = rng.uniform(size=(p, p))
+def _ramp_grids(p: int) -> Tuple[Array, Array, Array]:
+    """Horizontal, vertical and diagonal ramps from 0 to 1 over a patch."""
+    if p == 1:
+        flat = np.zeros((1, 1))
+        return flat, flat, flat
+    x = np.arange(p)
+    return (
+        np.broadcast_to(x / (p - 1), (p, p)),
+        np.broadcast_to((x / (p - 1))[:, None], (p, p)),
+        (x[:, None] + x[None, :]) / (2 * (p - 1)),
+    )
+
+
+def _texture_arguments(p: int, max_f: int) -> Array:
+    """Sine arguments 2 pi (kx x + ky y) / p for every frequency pair,
+    indexed [kx, ky, y, x]."""
+    x = np.arange(p)
+    k = np.arange(max_f + 1)
+    kx = k[:, None, None, None]
+    ky = k[None, :, None, None]
+    return 2.0 * np.pi * (kx * x[None, :] + ky * x[:, None]) / p
 
 
 def gen_synthetic(
@@ -97,6 +87,12 @@ def gen_synthetic(
     ``mix`` gives the class probabilities (flat, smooth, texture, noise);
     each patch draws its class independently. Item ``i`` is generated from
     seed ``seed XOR i``, so regeneration is bit-identical and order-free.
+
+    Patches are filled in row-major order, each drawing from the item's
+    generator: flat a level; smooth two end levels and a ramp direction
+    (horizontal, vertical, diagonal); texture a nonzero integer frequency
+    pair up to p/4 (alias-free on the p-grid, variance A^2/2 for any
+    phase) and a phase; noise one uniform value per pixel.
     """
     mix = np.asarray(mix, dtype=np.float64)
     if mix.shape != (4,) or np.any(mix < 0) or abs(mix.sum() - 1.0) > 1e-9:
@@ -106,15 +102,33 @@ def gen_synthetic(
     if size < 1 or patch < 1 or size % patch:
         raise ValueError(f"size {size} must be divisible by patch {patch}")
     grid = size // patch
+    p = patch
+    ramps = _ramp_grids(p)
+    max_f = max(1, p // 4)
+    texture_args = _texture_arguments(p, max_f)
+    two_pi = 2.0 * np.pi
     items: List[LabeledImage] = []
     for i in range(n):
         rng = np.random.default_rng((seed ^ i) & _U64)
         labels = rng.choice(4, size=(grid, grid), p=mix)
-        image = np.empty((size, size))
-        for gy in range(grid):
-            for gx in range(grid):
-                view = image[gy * patch:(gy + 1) * patch, gx * patch:(gx + 1) * patch]
-                _fill_patch(view, int(labels[gy, gx]), rng)
+        block = np.empty((grid * grid, p, p))
+        for k, label in enumerate(labels.ravel().tolist()):
+            if label == 0:
+                block[k] = rng.random()
+            elif label == 1:
+                c0, c1 = rng.random(2)
+                block[k] = c0 + (c1 - c0) * ramps[int(rng.integers(3))]
+            elif label == 2:
+                kx = ky = 0
+                while kx == 0 and ky == 0:
+                    kx = int(rng.integers(0, max_f + 1))
+                    ky = int(rng.integers(0, max_f + 1))
+                phase = two_pi * rng.random()
+                wave = np.sin(texture_args[kx, ky] + phase)
+                block[k] = 0.5 + TEXTURE_AMPLITUDE * wave
+            else:
+                block[k] = rng.random((p, p))
+        image = block.reshape(grid, grid, p, p).swapaxes(1, 2).reshape(size, size)
         items.append(LabeledImage(image=image, patch_labels=labels.astype(np.int64)))
     mix_text = ",".join(repr(float(f)) for f in mix)
     return Dataset(

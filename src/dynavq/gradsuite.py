@@ -146,7 +146,9 @@ def _stable_quantizer_setup(seed: int):
     raise RuntimeError("could not find a selection-stable quantizer setup")
 
 
-def check_quantizer(seed: int, eps=DEFAULT_EPS, rel_tol=DEFAULT_REL_TOL) -> GradReport:
+def check_quantizer(
+    seed: int, eps=DEFAULT_EPS, rel_tol=DEFAULT_REL_TOL, weighting="softmax"
+) -> GradReport:
     cb, z, ratios = _stable_quantizer_setup(seed)
     rng = np.random.default_rng(seed + 999)
     coeff = rng.normal(size=z.shape)
@@ -156,19 +158,25 @@ def check_quantizer(seed: int, eps=DEFAULT_EPS, rel_tol=DEFAULT_REL_TOL) -> Grad
         entries = vec[: cb.entries.size].reshape(cb.entries.shape)
         emb = vec[cb.entries.size:].reshape(z.shape)
         tmp = Codebook(entries.copy(), np.zeros_like(cb.usage_counts))
-        out = quantize(emb, tmp, ratios, mode)
+        out = quantize(emb, tmp, ratios, mode, weighting=weighting)
         return float(np.sum(coeff * out.quantized))
 
     def g_joint(vec):
         entries = vec[: cb.entries.size].reshape(cb.entries.shape)
         emb = vec[cb.entries.size:].reshape(z.shape)
         tmp = Codebook(entries.copy(), np.zeros_like(cb.usage_counts))
-        out = quantize(emb, tmp, ratios, mode)
+        out = quantize(emb, tmp, ratios, mode, weighting=weighting)
         d_entries, d_input = quantize_backward(coeff, out.cache, tmp)
         return np.concatenate([d_entries.ravel(), d_input.ravel()])
 
     point = np.concatenate([cb.entries.ravel(), z.ravel()])
     return grad_check(f_joint, g_joint, point, eps=eps, rel_tol=rel_tol)
+
+
+def check_quantizer_linear(
+    seed: int, eps=DEFAULT_EPS, rel_tol=DEFAULT_REL_TOL
+) -> GradReport:
+    return check_quantizer(seed, eps, rel_tol, weighting="linear")
 
 
 def _check_mlp(params: MlpParams, rows: int, seed: int, eps, rel_tol) -> GradReport:
@@ -244,6 +252,7 @@ CHECKS: List[tuple] = [
     ("dpa_loss", check_dpa_loss),
     ("allocator", check_allocator),
     ("quantizer_weighted_sum", check_quantizer),
+    ("quantizer_linear", check_quantizer_linear),
     ("encoder", check_encoder),
     ("decoder", check_decoder),
     ("reconstruction_loss", check_reconstruction),

@@ -4,6 +4,11 @@ PSNR and a windowed SSIM for image quality, usage perplexity for codebook
 health, rate-distortion sweeps over forced primitive counts, allocation
 heatmaps, Spearman correlation between allocation and ground-truth patch
 complexity, and the centroid similarity matrix.
+
+Dataset evaluation runs the pipeline over chunks of consecutive images,
+one forward pass per chunk of at most ``EVAL_ROWS`` patch rows, and takes
+each image's metrics from its slice of the chunk. SSIM reduces all of an
+image's windows at once.
 """
 
 from __future__ import annotations
@@ -11,19 +16,25 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
-from dynavq.autoencoder import reconstruction_loss
+from dynavq.autoencoder import reconstruction_loss, unpatchify
 from dynavq.codebook import Codebook, centroids
-from dynavq.dataio import Dataset, save_raster
+from dynavq.dataio import Dataset, LabeledImage, save_raster
 from dynavq.numerics import Array, cosine_similarity_matrix
 from dynavq.pipeline import Model, forward_image
 from dynavq.quantizer import AllocationMap, QuantizeMode
 
 #: PSNR reported for a zero-MSE pair; keeps CSV outputs free of infinities.
 PSNR_CAP_DB = 99.0
+
+#: Patch rows per evaluation forward pass: one training batch at the desk
+#: recipe (8 images x 64 patches). Evaluation then holds no more
+#: activations at once than a training step does, whatever the dataset's
+#: size; an image with more rows than this runs alone.
+EVAL_ROWS = 512
 
 
 def psnr(a: Array, b: Array, max_val: float = 1.0) -> float:
@@ -49,7 +60,8 @@ def ssim(
 
     Uses the standard luminance/contrast/structure product per window with
     population statistics and dynamic range 1. Ragged edge pixels beyond
-    the last full window are ignored.
+    the last full window are ignored. Every window is reduced at once: the
+    image is reshaped to (window rows, window cols, window^2 pixels).
     """
     x = np.asarray(a, dtype=np.float64)
     y = np.asarray(b, dtype=np.float64)
@@ -61,20 +73,27 @@ def ssim(
     c2 = (k2 * 1.0) ** 2
     rows = x.shape[0] // window
     cols = x.shape[1] // window
-    values = []
-    for wy in range(rows):
-        for wx in range(cols):
-            wa = x[wy * window:(wy + 1) * window, wx * window:(wx + 1) * window]
-            wb = y[wy * window:(wy + 1) * window, wx * window:(wx + 1) * window]
-            mu_a = wa.mean()
-            mu_b = wb.mean()
-            var_a = ((wa - mu_a) ** 2).mean()
-            var_b = ((wb - mu_b) ** 2).mean()
-            cov = ((wa - mu_a) * (wb - mu_b)).mean()
-            num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
-            den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
-            values.append(num / den)
-    return float(np.mean(values))
+
+    def windows(img: np.ndarray) -> np.ndarray:
+        return (
+            img[:rows * window, :cols * window]
+            .reshape(rows, window, cols, window)
+            .swapaxes(1, 2)
+            .reshape(rows, cols, window * window)
+        )
+
+    wa = windows(x)
+    wb = windows(y)
+    mu_a = wa.mean(axis=2)
+    mu_b = wb.mean(axis=2)
+    da = wa - mu_a[..., None]
+    db = wb - mu_b[..., None]
+    var_a = (da ** 2).mean(axis=2)
+    var_b = (db ** 2).mean(axis=2)
+    cov = (da * db).mean(axis=2)
+    num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
+    den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+    return float(np.mean(num / den))
 
 
 def codebook_perplexity(usage_counts: Array) -> Union[float, np.ndarray]:
@@ -203,39 +222,61 @@ class RDPoint:
     mean_count: float
 
 
+def _chunks(items: Sequence[LabeledImage], patch: int) -> Iterator[List[LabeledImage]]:
+    """Consecutive items grouped into chunks of at most EVAL_ROWS patch
+    rows; an item with more rows than that forms a chunk of its own."""
+    chunk: List[LabeledImage] = []
+    rows = 0
+    for item in items:
+        h, w = item.image.shape
+        n = (h // patch) * (w // patch)
+        if chunk and rows + n > EVAL_ROWS:
+            yield chunk
+            chunk, rows = [], 0
+        chunk.append(item)
+        rows += n
+    if chunk:
+        yield chunk
+
+
 def evaluate_reconstruction(
     model: Model, dataset: Dataset, mode: Optional[QuantizeMode] = None
 ) -> EvalStats:
     """Evaluate pixel reconstruction of a dataset under one quantize mode.
 
-    MSE is measured pre-clamp (training semantics); PSNR/SSIM are measured
-    on outputs clamped to [0, 1] (export semantics). The model's stored
-    usage counters are left untouched.
+    Consecutive images share one forward pass, up to EVAL_ROWS patch rows
+    per pass (one desk training batch, so memory stays bounded on any
+    dataset). Rows are quantized independently, so the chunking changes
+    no result beyond float64 rounding. Each image's MSE, PSNR and SSIM
+    come from its slice of the pass. MSE is measured pre-clamp (training
+    semantics); PSNR/SSIM are measured on outputs clamped to [0, 1]
+    (export semantics). The model's stored usage counters are left
+    untouched.
     """
     if len(dataset.items) == 0:
         raise ValueError("dataset is empty")
     work = model.copy()
     if mode is None:
         mode = work.adaptive_mode()
+    p = work.patch_size
     mses: List[float] = []
     psnrs: List[float] = []
     ssims: List[float] = []
     all_counts: List[np.ndarray] = []
-    all_labels: List[np.ndarray] = []
     usage = np.zeros_like(work.codebook.usage_counts, dtype=np.float64)
-    for item in dataset.items:
-        h, w = item.image.shape
-        result = forward_image(work, item.image, mode)
-        recon = result.recon_image(h, w, work.patch_size)
-        mses.append(reconstruction_loss(item.image, recon)[0])
-        clamped = np.clip(recon, 0.0, 1.0)
-        psnrs.append(psnr(item.image, clamped))
-        ssims.append(ssim(item.image, clamped))
+    for chunk in _chunks(dataset.items, p):
+        result = forward_image(work, [item.image for item in chunk], mode)
+        for item, start, stop in zip(chunk, result.offsets[:-1], result.offsets[1:]):
+            h, w = item.image.shape
+            recon = unpatchify(result.recon_patches[start:stop], h, w, p)
+            mses.append(reconstruction_loss(item.image, recon)[0])
+            clamped = np.clip(recon, 0.0, 1.0)
+            psnrs.append(psnr(item.image, clamped))
+            ssims.append(ssim(item.image, clamped))
         all_counts.append(result.quant.alloc.counts)
-        all_labels.append(item.patch_labels.reshape(-1))
         usage += result.quant.usage_delta
     counts = np.concatenate(all_counts)
-    labels = np.concatenate(all_labels)
+    labels = np.concatenate([item.patch_labels.reshape(-1) for item in dataset.items])
     return EvalStats(
         mean_mse=float(np.mean(mses)),
         mean_psnr=float(np.mean(psnrs)),

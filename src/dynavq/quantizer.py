@@ -117,9 +117,13 @@ class ChunkCache:
 
     Only the (rows x cap) head is held: the selected code indices and
     their weights (0.0 beyond each row's count), next to the input rows,
-    the sub-codebook and the clamped norms. The temperature and norm clamp
-    of the forward pass travel with it, so the backward pass differentiates
-    exactly the function the forward pass computed.
+    the sub-codebook and the clamped norms. The weighting, temperature and
+    norm clamp of the forward pass travel with it, so the backward pass
+    differentiates exactly the function the forward pass computed. Linear
+    weighting also keeps the mask ``safe`` of rows whose sum of kept
+    similarities cleared LINEAR_DENOM_EPS and that sum ``denom`` (1.0 on
+    the other rows, which took uniform weights that do not depend on the
+    similarities).
     """
 
     rows: np.ndarray
@@ -128,8 +132,12 @@ class ChunkCache:
     code_norms: np.ndarray
     head: np.ndarray
     weights: np.ndarray
+    keep: np.ndarray
     temperature: float
     eps: float
+    weighting: str
+    denom: Optional[np.ndarray]
+    safe: Optional[np.ndarray]
 
     @property
     def sims(self) -> np.ndarray:
@@ -215,19 +223,25 @@ def select_head(sims: Array, cap: int) -> Array:
 
 def _head_weights(
     head_sims: Array, keep: Array, temperature: float, weighting: str
-) -> Array:
-    """Weights over each row's head, 0.0 beyond its count."""
+) -> Tuple[Array, Optional[Array], Optional[Array]]:
+    """Weights over each row's head, 0.0 beyond its count.
+
+    Returns the weights plus, for linear weighting, the (rows x 1)
+    denominators (1.0 where uniform weights were used) and the mask of
+    rows that did not fall back to uniform weights (None for softmax).
+    """
     if weighting == "softmax":
         # heads are sorted, so column 0 holds each row's largest similarity
         scaled = head_sims / temperature
         expd = np.where(keep, np.exp(scaled - scaled[:, :1]), 0.0)
-        return expd / expd.sum(axis=1, keepdims=True)
+        return expd / expd.sum(axis=1, keepdims=True), None, None
     if weighting == "linear":
         picked = np.where(keep, head_sims, 0.0)
         denom = picked.sum(axis=1, keepdims=True)
         uniform = keep / keep.sum(axis=1, keepdims=True)
         safe = np.abs(denom) > LINEAR_DENOM_EPS
-        return np.where(safe, picked / np.where(safe, denom, 1.0), uniform)
+        denom = np.where(safe, denom, 1.0)
+        return np.where(safe, picked / denom, uniform), denom, safe
     raise ValueError(f"unknown weighting {weighting!r}")
 
 
@@ -264,7 +278,7 @@ def _quantize_sub(
     head_sims = np.take(sims, flat)
     del sims
     keep = np.arange(cap) < counts[:, None]
-    weights = _head_weights(head_sims, keep, temperature, weighting)
+    weights, denom, safe = _head_weights(head_sims, keep, temperature, weighting)
     if cap == 1:
         out = codes[head[:, 0]] * weights
     else:
@@ -276,8 +290,12 @@ def _quantize_sub(
         code_norms=code_norms,
         head=head,
         weights=weights,
+        keep=keep,
         temperature=temperature,
         eps=eps,
+        weighting=weighting,
+        denom=denom,
+        safe=safe,
     )
     return out, cache
 
@@ -422,9 +440,9 @@ def quantize_backward(
     """Exact gradients through the weighted sum, selection held fixed.
 
     Given dL/d(quantized), returns (dL/d entries, dL/d embeddings) flowing
-    through both the primitive values and the softmax weights (whose
-    similarities depend on the inputs and the primitives), at the
-    temperature and norm clamp the forward pass used. Only the selected
+    through both the primitive values and the softmax or linear weights
+    (whose similarities depend on the inputs and the primitives), with the
+    weighting, temperature and norm clamp the forward pass used. Only the selected
     head enters the arithmetic; weighted sums over it run as matmuls
     against the head scattered into a dense (rows x codes) matrix.
     """
@@ -441,10 +459,15 @@ def quantize_backward(
         nc = cache.code_norms
         flat = _flat_index(head, num_codes)
         head_sims = np.take(cache.sims, flat)
-        # path through the weights (softmax backward on the head)
+        # path through the weights, backward on the head
         d_w = np.take(gj @ codes.T, flat)
         row_dot = (w * d_w).sum(axis=1, keepdims=True)
-        d_sims = w * (d_w - row_dot) / cache.temperature
+        if cache.weighting == "linear":
+            # w = keep * sims / denom; uniform fallback rows are constant
+            live = cache.keep & cache.safe
+            d_sims = np.where(live, (d_w - row_dot) / cache.denom, 0.0)
+        else:
+            d_sims = w * (d_w - row_dot) / cache.temperature
         # cosine backward: sims = <z, c> / (|z| |c|) with clamped norms
         scale = _scatter(flat, d_sims / (nz[:, None] * nc[head]), num_codes)
         corr = d_sims * head_sims

@@ -1,19 +1,29 @@
-"""Smoke run of the benchmark: a traced train_desk round must pass its
-output checks (reference forward pass, identical repeated trainings,
-gradient suite) and every tracer binding must still resolve."""
+"""Smoke runs of the benchmark: a traced train_desk round and an untraced
+tokenize_desk round must pass their output checks (reference forward
+pass, identical repeated trainings, gradient suite), and every tracer
+binding must still resolve. tokenize_desk is the workload whose model has
+spread adaptive counts when its eval PSNR is checked against the
+reference forward pass."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
 
-def test_traced_train_desk_round_is_correct():
+@pytest.mark.parametrize(
+    "workload, trace",
+    [("train_desk", "1"), ("tokenize_desk", "0")],
+    ids=["traced-train_desk", "untraced-tokenize_desk"],
+)
+def test_bench_round_is_correct(workload, trace):
     proc = subprocess.run(
-        [sys.executable, str(RUN), "--workload", "train_desk", "--seed", "3",
-         "--seconds", "0", "--trace", "1"],
+        [sys.executable, str(RUN), "--workload", workload, "--seed", "3",
+         "--seconds", "0", "--trace", trace],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr

@@ -12,6 +12,8 @@ from dynavq.dataio import (
     split,
 )
 
+from reference_synthetic import reference_gen_synthetic
+
 
 class TestGenSynthetic:
     def test_all_flat(self):
@@ -68,6 +70,29 @@ class TestGenSynthetic:
         counts = [len(per_class[c]) for c in range(4)]
         assert all(c >= 100 for c in counts)
         assert means[0] < means[1] < means[2] <= means[3]
+
+
+MIXES = {
+    "uniform": (0.25, 0.25, 0.25, 0.25),
+    "flat": (1, 0, 0, 0),
+    "smooth": (0, 1, 0, 0),
+    "texture": (0, 0, 1, 0),
+    "noise": (0, 0, 0, 1),
+}
+
+
+@pytest.mark.parametrize("mix", sorted(MIXES))
+@pytest.mark.parametrize("patch", [1, 3, 4, 8, 16])
+def test_gen_synthetic_matches_patch_view_reference(patch, mix):
+    size = 5 * patch
+    for seed in (0, 7, 2**63 + 5):
+        ds = gen_synthetic(3, size, patch, MIXES[mix], seed)
+        ref = reference_gen_synthetic(3, size, patch, MIXES[mix], seed)
+        for item, (image, labels) in zip(ds.items, ref):
+            assert item.image.tobytes() == image.tobytes()
+            assert item.image.shape == image.shape and item.image.flags.c_contiguous
+            assert item.patch_labels.tobytes() == labels.tobytes()
+            assert item.patch_labels.shape == labels.shape
 
 
 class TestSplit:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dynavq.codebook import Codebook, init_codebook
+from dynavq.gradsuite import check_quantizer_linear
 from dynavq.numerics import grad_check
 from dynavq.quantizer import (
     QuantizeMode,
@@ -267,6 +268,34 @@ class TestQuantizeBackward:
 
         report = grad_check(f_input, g_input, z, eps=1e-5, rel_tol=1e-4)
         assert report.passed, report
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_linear_weighting_gradients(self, seed):
+        report = check_quantizer_linear(seed)
+        assert report.passed, report
+
+    def test_linear_uniform_fallback_rows_get_no_weight_gradient(self):
+        # a zero row has all similarities 0, so its linear weights fall
+        # back to uniform and do not depend on the row or the codes
+        cb = make_codebook(np.random.default_rng(4).normal(size=(2, 5, 3)))
+        z = np.random.default_rng(5).normal(size=(3, 6))
+        z[1] = 0.0
+        out = quantize(z, cb.copy(), None, QuantizeMode.fixed_top_n(3),
+                       weighting="linear")
+        assert np.all(out.alloc.weights[:, 1] == 1.0 / 3.0)
+        coeff = np.random.default_rng(6).normal(size=z.shape)
+        d_entries, d_input = quantize_backward(coeff, out.cache, cb)
+        assert np.all(d_input[1] == 0.0)
+        # the codes still receive the direct path through their values
+        expect = np.zeros_like(cb.entries)
+        for j in range(2):
+            for i, w in zip(out.alloc.indices[j, 1], out.alloc.weights[j, 1]):
+                expect[j, i] += w * coeff[1, j * 3:(j + 1) * 3]
+        z_rest = np.delete(z, 1, axis=0)
+        rest = quantize(z_rest, cb.copy(), None, QuantizeMode.fixed_top_n(3),
+                        weighting="linear")
+        d_rest, _ = quantize_backward(np.delete(coeff, 1, axis=0), rest.cache, cb)
+        np.testing.assert_allclose(d_entries, d_rest + expect, rtol=1e-12, atol=1e-15)
 
 
 class TestCommitment:
