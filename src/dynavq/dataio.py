@@ -102,16 +102,14 @@ def gen_synthetic(
     if size < 1 or patch < 1 or size % patch:
         raise ValueError(f"size {size} must be divisible by patch {patch}")
     grid = size // patch
-    p = patch
-    ramps = _ramp_grids(p)
-    max_f = max(1, p // 4)
-    texture_args = _texture_arguments(p, max_f)
-    two_pi = 2.0 * np.pi
+    ramps = _ramp_grids(patch)
+    max_f = max(1, patch // 4)
+    texture_args = _texture_arguments(patch, max_f)
     items: List[LabeledImage] = []
     for i in range(n):
         rng = np.random.default_rng((seed ^ i) & _U64)
         labels = rng.choice(4, size=(grid, grid), p=mix)
-        block = np.empty((grid * grid, p, p))
+        block = np.empty((grid * grid, patch, patch))
         for k, label in enumerate(labels.ravel().tolist()):
             if label == 0:
                 block[k] = rng.random()
@@ -123,12 +121,14 @@ def gen_synthetic(
                 while kx == 0 and ky == 0:
                     kx = int(rng.integers(0, max_f + 1))
                     ky = int(rng.integers(0, max_f + 1))
-                phase = two_pi * rng.random()
+                phase = 2.0 * np.pi * rng.random()
                 wave = np.sin(texture_args[kx, ky] + phase)
                 block[k] = 0.5 + TEXTURE_AMPLITUDE * wave
             else:
-                block[k] = rng.random((p, p))
-        image = block.reshape(grid, grid, p, p).swapaxes(1, 2).reshape(size, size)
+                block[k] = rng.random((patch, patch))
+        image = (
+            block.reshape(grid, grid, patch, patch).swapaxes(1, 2).reshape(size, size)
+        )
         items.append(LabeledImage(image=image, patch_labels=labels.astype(np.int64)))
     mix_text = ",".join(repr(float(f)) for f in mix)
     return Dataset(
