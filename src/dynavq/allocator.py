@@ -43,7 +43,7 @@ class AllocatorParams:
             raise ValueError("second conv must emit a single channel")
         if self.conv2_w.shape[1] != self.conv1_w.shape[0]:
             raise ValueError("conv2 input channels must match conv1 output channels")
-        for arr in (self.conv1_w, self.conv1_b, self.conv2_w, self.conv2_b):
+        for arr in vars(self).values():
             if not np.all(np.isfinite(arr)):
                 raise ValueError("allocator parameters must be finite")
 
@@ -54,20 +54,6 @@ class AllocatorParams:
     @property
     def hidden(self) -> int:
         return self.conv1_w.shape[0]
-
-    def copy(self) -> "AllocatorParams":
-        return AllocatorParams(
-            self.conv1_w.copy(), self.conv1_b.copy(),
-            self.conv2_w.copy(), self.conv2_b.copy(),
-        )
-
-
-@dataclass
-class AllocatorGrads:
-    conv1_w: np.ndarray
-    conv1_b: np.ndarray
-    conv2_w: np.ndarray
-    conv2_b: np.ndarray
 
 
 def init_allocator(
@@ -176,10 +162,11 @@ def allocator_forward(
 
 def allocator_backward(
     grad_ratios: Array, cache: AllocatorCache, params: AllocatorParams
-) -> Tuple[AllocatorGrads, Array]:
+) -> Tuple[AllocatorParams, Array]:
     """Backprop through sigmoid -> conv2 -> ReLU -> conv1.
 
-    Returns gradients for the parameters and for the input embeddings.
+    Returns gradients for the parameters (as an AllocatorParams) and for
+    the input embeddings.
     """
     r = cache.ratios
     positions = cache.positions
@@ -211,7 +198,7 @@ def allocator_backward(
         d_xpad[:, u:u + length1] += params.conv1_w[:, :, u].T @ d_pre
     d_b1 = d_pre.sum(axis=1)
     d_input = d_xpad[:, positions].T
-    return AllocatorGrads(d_w1, d_b1, d_w2, d_b2), d_input
+    return AllocatorParams(d_w1, d_b1, d_w2, d_b2), d_input
 
 
 def count_from_ratio(ratios: Array, cap: int) -> Array:

@@ -69,7 +69,7 @@ class MlpParams:
             raise ValueError("bias sizes must match layer widths")
         if self.w1.shape[1] != self.w2.shape[0]:
             raise ValueError("hidden widths of the two layers must agree")
-        for arr in (self.w1, self.b1, self.w2, self.b2):
+        for arr in vars(self).values():
             if not np.all(np.isfinite(arr)):
                 raise ValueError("parameters must be finite")
 
@@ -80,17 +80,6 @@ class MlpParams:
     @property
     def out_dim(self) -> int:
         return self.w2.shape[1]
-
-    def copy(self) -> "MlpParams":
-        return MlpParams(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
-
-
-@dataclass
-class MlpGrads:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
 
 
 def init_mlp(in_dim: int, hidden: int, out_dim: int, seed: int) -> MlpParams:
@@ -122,7 +111,8 @@ def mlp_forward(x: Array, params: MlpParams) -> Tuple[Array, MlpCache]:
 
 def mlp_backward(
     grad_out: Array, cache: MlpCache, params: MlpParams
-) -> Tuple[MlpGrads, Array]:
+) -> Tuple[MlpParams, Array]:
+    """Gradients for the parameters (as an MlpParams) and for the inputs."""
     g = np.asarray(grad_out, dtype=np.float64)
     d_w2 = cache.hidden.T @ g
     d_b2 = g.sum(axis=0)
@@ -130,7 +120,7 @@ def mlp_backward(
     d_w1 = cache.inputs.T @ d_hidden
     d_b1 = d_hidden.sum(axis=0)
     d_inputs = d_hidden @ params.w1.T
-    return MlpGrads(d_w1, d_b1, d_w2, d_b2), d_inputs
+    return MlpParams(d_w1, d_b1, d_w2, d_b2), d_inputs
 
 
 def init_encoder(patch: int, hidden: int, embed_dim: int, seed: int) -> MlpParams:

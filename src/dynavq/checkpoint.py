@@ -6,22 +6,23 @@ little-endian), the codebook entries as little-endian f64 in
 sub-codebook-major row-major order, the usage counters as u64, then a
 sequence of tagged sections (allocator, encoder, decoder, optimizer,
 meta). Each section is ``[12-byte NUL-padded ASCII tag][u64 length]
-[payload]`` where the payload is a list of named arrays.
+[payload]`` where the payload is a list of named arrays. Loading a
+truncated or malformed file raises CheckpointError naming the path (and,
+for a truncation, the byte offset).
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, get_type_hints
 
 import numpy as np
 
-from dynavq.allocator import AllocatorParams
-from dynavq.autoencoder import MlpParams
 from dynavq.codebook import Codebook
-from dynavq.pipeline import Model
+from dynavq.pipeline import PARTS, Model
 
 MAGIC = b"CDDV"
 VERSION = 1
@@ -59,36 +60,40 @@ def _pack_array(name: str, arr: np.ndarray) -> bytes:
     return head + raw
 
 
-def _unpack_arrays(payload: bytes) -> Dict[str, np.ndarray]:
+def _take(raw: bytes, pos: int, size: int, end: int) -> bytes:
+    """``size`` bytes at offset ``pos``, which must not run past ``end``."""
+    if pos + size > end:
+        raise CheckpointError(
+            f"truncated: {size} bytes needed at offset {pos}, {end - pos} left"
+        )
+    return raw[pos:pos + size]
+
+
+def _unpack(fmt: str, raw: bytes, pos: int, end: int) -> tuple:
+    return struct.unpack(fmt, _take(raw, pos, struct.calcsize(fmt), end))
+
+
+def _unpack_arrays(raw: bytes, pos: int, end: int) -> Dict[str, np.ndarray]:
+    """The named arrays of the section payload ``raw[pos:end]``."""
     out: Dict[str, np.ndarray] = {}
-    pos = 0
-    while pos < len(payload):
-        (name_len,) = struct.unpack_from("<H", payload, pos)
+    while pos < end:
+        (name_len,) = _unpack("<H", raw, pos, end)
         pos += 2
-        name = payload[pos:pos + name_len].decode("ascii")
+        name = _take(raw, pos, name_len, end).decode("ascii")
         pos += name_len
-        (ndim,) = struct.unpack_from("<B", payload, pos)
+        (ndim,) = _unpack("<B", raw, pos, end)
         pos += 1
-        shape = struct.unpack_from(f"<{ndim}I", payload, pos) if ndim else ()
+        shape = _unpack(f"<{ndim}I", raw, pos, end)
         pos += 4 * ndim
-        (code,) = struct.unpack_from("<B", payload, pos)
+        (code,) = _unpack("<B", raw, pos, end)
+        if code not in _DTYPES:
+            raise CheckpointError(f"unknown dtype code {code} at offset {pos}")
         pos += 1
-        dtype = _DTYPES[code]
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * dtype.itemsize
-        arr = np.frombuffer(payload[pos:pos + nbytes], dtype=dtype).reshape(shape)
+        nbytes = math.prod(shape) * _DTYPES[code].itemsize
+        data = _take(raw, pos, nbytes, end)
+        out[name] = np.frombuffer(data, dtype=_DTYPES[code]).reshape(shape).copy()
         pos += nbytes
-        out[name] = arr.copy()
     return out
-
-
-def _mlp_arrays(p: MlpParams) -> Dict[str, np.ndarray]:
-    return {"w1": p.w1, "b1": p.b1, "w2": p.w2, "b2": p.b2}
-
-
-def _alloc_arrays(p: AllocatorParams) -> Dict[str, np.ndarray]:
-    return {"conv1_w": p.conv1_w, "conv1_b": p.conv1_b,
-            "conv2_w": p.conv2_w, "conv2_b": p.conv2_b}
 
 
 @dataclass
@@ -119,9 +124,8 @@ def save_checkpoint(path, data: CheckpointData) -> None:
             raise CheckpointError(f"section tag too long: {tag}")
         return tag_b.ljust(_TAG_LEN, b"\x00") + struct.pack("<Q", len(payload)) + payload
 
-    blob += section("allocator", _alloc_arrays(model.allocator))
-    blob += section("encoder", _mlp_arrays(model.encoder))
-    blob += section("decoder", _mlp_arrays(model.decoder))
+    for part in PARTS:
+        blob += section(part, vars(getattr(model, part)))
     opt_arrays: Dict[str, np.ndarray] = {}
     for name, arr in data.opt_m.items():
         opt_arrays[f"m.{name}"] = arr
@@ -146,36 +150,50 @@ def save_checkpoint(path, data: CheckpointData) -> None:
 
 
 def load_checkpoint(path) -> CheckpointData:
+    """Read a checkpoint; a truncated or malformed file raises
+    CheckpointError naming the path."""
     raw = Path(path).read_bytes()
+    try:
+        return _parse(raw)
+    except CheckpointError as err:
+        raise CheckpointError(f"{path}: {err}") from None
+    except (ValueError, KeyError, TypeError, IndexError) as err:
+        raise CheckpointError(f"{path}: malformed checkpoint: {err!r}") from err
+
+
+def _parse(raw: bytes) -> CheckpointData:
+    end = len(raw)
     if raw[:4] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic {raw[:4]!r}, expected {MAGIC!r}")
-    version, subs, prims, dim = struct.unpack_from("<IIII", raw, 4)
+        raise CheckpointError(f"bad magic {raw[:4]!r}, expected {MAGIC!r}")
+    version, subs, prims, dim = _unpack("<IIII", raw, 4, end)
     if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
+        raise CheckpointError(f"unsupported version {version}")
     pos = 4 + 16
     n_entries = subs * prims * dim
-    entries = np.frombuffer(raw, dtype="<f8", count=n_entries, offset=pos)
+    entries = np.frombuffer(_take(raw, pos, n_entries * 8, end), dtype="<f8")
     entries = entries.reshape(subs, prims, dim).copy()
     pos += n_entries * 8
-    usage = np.frombuffer(raw, dtype="<u8", count=subs * prims, offset=pos)
+    usage = np.frombuffer(_take(raw, pos, subs * prims * 8, end), dtype="<u8")
     usage = usage.reshape(subs, prims).astype(np.uint64)
     pos += subs * prims * 8
 
     sections: Dict[str, Dict[str, np.ndarray]] = {}
-    while pos < len(raw):
-        tag = raw[pos:pos + _TAG_LEN].rstrip(b"\x00").decode("ascii")
+    while pos < end:
+        tag = _take(raw, pos, _TAG_LEN, end).rstrip(b"\x00").decode("ascii")
         pos += _TAG_LEN
-        (length,) = struct.unpack_from("<Q", raw, pos)
+        (length,) = _unpack("<Q", raw, pos, end)
         pos += 8
-        sections[tag] = _unpack_arrays(raw[pos:pos + length])
+        if pos + length > end:
+            raise CheckpointError(
+                f"truncated: section {tag!r} needs {length} bytes at offset "
+                f"{pos}, {end - pos} left"
+            )
+        sections[tag] = _unpack_arrays(raw, pos, pos + length)
         pos += length
 
-    for needed in ("allocator", "encoder", "decoder", "meta"):
+    for needed in PARTS + ("meta",):
         if needed not in sections:
-            raise CheckpointError(f"{path}: missing section {needed!r}")
-    alloc_s = sections["allocator"]
-    enc_s = sections["encoder"]
-    dec_s = sections["decoder"]
+            raise CheckpointError(f"missing section {needed!r}")
     meta = sections["meta"]
 
     def scalar(name):
@@ -184,22 +202,15 @@ def load_checkpoint(path) -> CheckpointData:
     seed_u = int(scalar("seed"))
     if seed_u >= 1 << 63:
         seed_u -= 1 << 64
+    part_types = get_type_hints(Model)
     model = Model(
         codebook=Codebook(entries=entries, usage_counts=usage),
-        allocator=AllocatorParams(
-            alloc_s["conv1_w"].astype(np.float64),
-            alloc_s["conv1_b"].astype(np.float64),
-            alloc_s["conv2_w"].astype(np.float64),
-            alloc_s["conv2_b"].astype(np.float64),
-        ),
-        encoder=MlpParams(
-            enc_s["w1"].astype(np.float64), enc_s["b1"].astype(np.float64),
-            enc_s["w2"].astype(np.float64), enc_s["b2"].astype(np.float64),
-        ),
-        decoder=MlpParams(
-            dec_s["w1"].astype(np.float64), dec_s["b1"].astype(np.float64),
-            dec_s["w2"].astype(np.float64), dec_s["b2"].astype(np.float64),
-        ),
+        **{
+            part: part_types[part](**{
+                name: arr.astype(np.float64) for name, arr in sections[part].items()
+            })
+            for part in PARTS
+        },
         patch_size=int(scalar("patch_size")),
         top_k=int(scalar("top_k")),
         pool=int(scalar("pool")),

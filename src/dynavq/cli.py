@@ -24,12 +24,10 @@ from dynavq.metrics import (
     allocation_heatmap,
     centroid_similarity_matrix,
     evaluate_reconstruction,
-    rate_distortion,
     write_eval_report,
 )
 from dynavq.pipeline import forward_image
 from dynavq.quantizer import QuantizeMode
-from dynavq.seeding import derive_seed, seed_everything  # noqa: F401 (re-export)
 from dynavq.trainer import TrainConfig, run_training
 
 _INT_KEYS = {

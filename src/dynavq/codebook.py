@@ -138,11 +138,6 @@ def diversity_grad_entries(cb: Codebook, centroid_grad: Array) -> Array:
 StepRule = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def sgd_step(learning_rate: float) -> StepRule:
-    """Plain gradient-descent step rule for apply_codebook_grads."""
-    return lambda param, grad: param - learning_rate * grad
-
-
 def apply_codebook_grads(cb: Codebook, grads: Array, step_rule: StepRule) -> Codebook:
     """Return a codebook whose entries were updated by ``step_rule``.
 

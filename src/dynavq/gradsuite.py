@@ -10,12 +10,11 @@ constant by the backward pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import List
 
 import numpy as np
 
 from dynavq.allocator import (
-    AllocatorParams,
     allocator_backward,
     allocator_forward,
     dpa_loss,
@@ -50,33 +49,18 @@ class SuiteResult:
     report: GradReport
 
 
-def _pack_mlp(p: MlpParams) -> np.ndarray:
-    return np.concatenate([p.w1.ravel(), p.b1, p.w2.ravel(), p.b2])
+def _ravel(params) -> np.ndarray:
+    """A parameter dataclass's arrays, flattened in field order."""
+    return np.concatenate([arr.ravel() for arr in vars(params).values()])
 
 
-def _unpack_mlp(vec: np.ndarray, like: MlpParams) -> MlpParams:
-    shapes = [like.w1.shape, like.b1.shape, like.w2.shape, like.b2.shape]
-    parts, i = [], 0
-    for s in shapes:
-        n = int(np.prod(s))
-        parts.append(vec[i:i + n].reshape(s))
-        i += n
-    return MlpParams(*parts)
-
-
-def _pack_allocator(p: AllocatorParams) -> np.ndarray:
-    return np.concatenate([p.conv1_w.ravel(), p.conv1_b, p.conv2_w.ravel(), p.conv2_b])
-
-
-def _unpack_allocator(vec: np.ndarray, like: AllocatorParams) -> AllocatorParams:
-    shapes = [like.conv1_w.shape, like.conv1_b.shape,
-              like.conv2_w.shape, like.conv2_b.shape]
-    parts, i = [], 0
-    for s in shapes:
-        n = int(np.prod(s))
-        parts.append(vec[i:i + n].reshape(s))
-        i += n
-    return AllocatorParams(*parts)
+def _unravel(vec: np.ndarray, like):
+    """Inverse of _ravel, shaped like the dataclass ``like``."""
+    arrays, i = {}, 0
+    for name, arr in vars(like).items():
+        arrays[name] = vec[i:i + arr.size].reshape(arr.shape)
+        i += arr.size
+    return type(like)(**arrays)
 
 
 def check_diversity(seed: int, eps=DEFAULT_EPS, rel_tol=DEFAULT_REL_TOL) -> GradReport:
@@ -110,18 +94,16 @@ def check_allocator(seed: int, eps=DEFAULT_EPS, rel_tol=DEFAULT_REL_TOL) -> Grad
     coeff = rng.normal(size=length)
 
     def f(vec):
-        ratios, _ = allocator_forward(z, _unpack_allocator(vec, params))
+        ratios, _ = allocator_forward(z, _unravel(vec, params))
         return float(coeff @ ratios)
 
     def g(vec):
-        p = _unpack_allocator(vec, params)
+        p = _unravel(vec, params)
         ratios, cache = allocator_forward(z, p)
         grads, _ = allocator_backward(coeff, cache, p)
-        return _pack_allocator(
-            AllocatorParams(grads.conv1_w, grads.conv1_b, grads.conv2_w, grads.conv2_b)
-        )
+        return _ravel(grads)
 
-    return grad_check(f, g, _pack_allocator(params), eps=eps, rel_tol=rel_tol)
+    return grad_check(f, g, _ravel(params), eps=eps, rel_tol=rel_tol)
 
 
 def _stable_quantizer_setup(seed: int):
@@ -133,7 +115,7 @@ def _stable_quantizer_setup(seed: int):
         cb = Codebook(entries, np.zeros((2, 5), dtype=np.uint64))
         z = rng.normal(size=(4, 6))
         ratios = rng.uniform(0.2, 0.9, size=4)
-        out = quantize(z, cb.copy(), ratios, QuantizeMode.adaptive(3))
+        out = quantize(z, cb, ratios, QuantizeMode.adaptive(3))
         stable = True
         for cache in out.cache:
             ordered = -np.sort(-cache.sims, axis=1)
@@ -157,14 +139,14 @@ def check_quantizer(
     def f_joint(vec):
         entries = vec[: cb.entries.size].reshape(cb.entries.shape)
         emb = vec[cb.entries.size:].reshape(z.shape)
-        tmp = Codebook(entries.copy(), np.zeros_like(cb.usage_counts))
+        tmp = Codebook(entries, cb.usage_counts)
         out = quantize(emb, tmp, ratios, mode, weighting=weighting)
         return float(np.sum(coeff * out.quantized))
 
     def g_joint(vec):
         entries = vec[: cb.entries.size].reshape(cb.entries.shape)
         emb = vec[cb.entries.size:].reshape(z.shape)
-        tmp = Codebook(entries.copy(), np.zeros_like(cb.usage_counts))
+        tmp = Codebook(entries, cb.usage_counts)
         out = quantize(emb, tmp, ratios, mode, weighting=weighting)
         d_entries, d_input = quantize_backward(coeff, out.cache, tmp)
         return np.concatenate([d_entries.ravel(), d_input.ravel()])
@@ -185,16 +167,16 @@ def _check_mlp(params: MlpParams, rows: int, seed: int, eps, rel_tol) -> GradRep
     coeff = rng.normal(size=(rows, params.out_dim))
 
     def f(vec):
-        out, _ = mlp_forward(x, _unpack_mlp(vec, params))
+        out, _ = mlp_forward(x, _unravel(vec, params))
         return float(np.sum(coeff * out))
 
     def g(vec):
-        p = _unpack_mlp(vec, params)
+        p = _unravel(vec, params)
         out, cache = mlp_forward(x, p)
         grads, _ = mlp_backward(coeff, cache, p)
-        return _pack_mlp(MlpParams(grads.w1, grads.b1, grads.w2, grads.b2))
+        return _ravel(grads)
 
-    return grad_check(f, g, _pack_mlp(params), eps=eps, rel_tol=rel_tol)
+    return grad_check(f, g, _ravel(params), eps=eps, rel_tol=rel_tol)
 
 
 def check_encoder(seed: int, eps=DEFAULT_EPS, rel_tol=DEFAULT_REL_TOL) -> GradReport:

@@ -250,22 +250,20 @@ def evaluate_reconstruction(
     no result beyond float64 rounding. Each image's MSE, PSNR and SSIM
     come from its slice of the pass. MSE is measured pre-clamp (training
     semantics); PSNR/SSIM are measured on outputs clamped to [0, 1]
-    (export semantics). The model's stored usage counters are left
-    untouched.
+    (export semantics).
     """
     if len(dataset.items) == 0:
         raise ValueError("dataset is empty")
-    work = model.copy()
     if mode is None:
-        mode = work.adaptive_mode()
-    p = work.patch_size
+        mode = model.adaptive_mode()
+    p = model.patch_size
     mses: List[float] = []
     psnrs: List[float] = []
     ssims: List[float] = []
     all_counts: List[np.ndarray] = []
-    usage = np.zeros_like(work.codebook.usage_counts, dtype=np.float64)
+    usage = np.zeros_like(model.codebook.usage_counts, dtype=np.float64)
     for chunk in _chunks(dataset.items, p):
-        result = forward_image(work, [item.image for item in chunk], mode)
+        result = forward_image(model, [item.image for item in chunk], mode)
         for item, start, stop in zip(chunk, result.offsets[:-1], result.offsets[1:]):
             h, w = item.image.shape
             recon = unpatchify(result.recon_patches[start:stop], h, w, p)

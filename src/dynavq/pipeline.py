@@ -3,8 +3,8 @@
 A Model bundles all learnable parameters plus the quantization
 hyperparameters, and forward_image runs the full
 patchify -> encode -> allocate -> quantize -> decode pass for one image or
-for a batch of them at once. Training and evaluation both build on this
-module.
+for a batch of them at once. The pass reads the model and writes nothing
+into it. Training and evaluation both build on this module.
 """
 
 from __future__ import annotations
@@ -25,6 +25,10 @@ from dynavq.autoencoder import (
 )
 from dynavq.codebook import Codebook
 from dynavq.quantizer import QuantizeMode, QuantizeOutput, quantize
+
+#: The networks other than the codebook, in checkpoint and optimizer order.
+#: Each is a parameter dataclass whose fields are walked as ``vars(params)``.
+PARTS = ("allocator", "encoder", "decoder")
 
 
 @dataclass
@@ -56,20 +60,6 @@ class Model:
 
     def adaptive_mode(self) -> QuantizeMode:
         return QuantizeMode.adaptive(self.top_k)
-
-    def copy(self) -> "Model":
-        return Model(
-            codebook=self.codebook.copy(),
-            allocator=self.allocator.copy(),
-            encoder=self.encoder.copy(),
-            decoder=self.decoder.copy(),
-            patch_size=self.patch_size,
-            top_k=self.top_k,
-            pool=self.pool,
-            temperature=self.temperature,
-            beta=self.beta,
-            weighting=self.weighting,
-        )
 
 
 @dataclass
@@ -122,7 +112,6 @@ def forward_image(
         ratios,
         mode,
         temperature=model.temperature,
-        beta=model.beta,
         pool=model.pool if mode.kind == "adaptive" else None,
         weighting=model.weighting,
     )

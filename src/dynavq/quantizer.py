@@ -15,8 +15,9 @@ the ``pool`` setting is validated but cannot change any output.
 
 Selection is non-differentiable; gradients treat the chosen index sets as
 constants and flow through the weights and the primitive values. The
-straight-through helper bridges decoder gradients across the quantizer to
-the encoder.
+trainer passes the decoder gradient straight through the quantizer to the
+encoder. Quantizing writes nothing into the codebook: each call returns
+its selection counts as ``usage_delta``.
 """
 
 from __future__ import annotations
@@ -152,7 +153,6 @@ class QuantizeOutput:
 
     quantized: np.ndarray
     alloc: AllocationMap
-    commit_loss: float
     per_patch_error: np.ndarray
     usage_delta: np.ndarray
     cache: Optional[List[ChunkCache]] = field(default=None, repr=False)
@@ -335,7 +335,6 @@ def quantize(
     ratios: Optional[Array],
     mode: QuantizeMode,
     temperature: float = 1.0,
-    beta: float = 0.25,
     pool: Optional[int] = None,
     eps: float = DEFAULT_NORM_EPS,
     weighting: str = "softmax",
@@ -345,7 +344,8 @@ def quantize(
     Rows may come from any number of images: one call covers them all.
     Per-patch counts are 1 (top1 mode), ``mode.amount`` (fixed mode), or
     derived from ``ratios`` (adaptive mode, capped at ``mode.amount``).
-    Selected primitives' usage counters on ``cb`` are incremented.
+    ``cb`` is left untouched; ``usage_delta`` counts each primitive's
+    selections.
     """
     from dynavq.allocator import count_from_ratio
 
@@ -406,7 +406,6 @@ def quantize(
         cache.weights = sel_weights[j]
         usage_delta[j] = np.bincount(cache.head[keep], minlength=num_codes)
         caches.append(cache)
-    cb.usage_counts += usage_delta.astype(np.uint64)
 
     if ratios is not None:
         stored_ratios = np.asarray(ratios, dtype=np.float64).copy()
@@ -421,11 +420,9 @@ def quantize(
         weights=sel_weights,
     )
     per_patch_error = ((quantized - z) ** 2).sum(axis=1)
-    commit, _, _ = commitment_loss(z, quantized, beta)
     return QuantizeOutput(
         quantized=quantized,
         alloc=alloc,
-        commit_loss=commit,
         per_patch_error=per_patch_error,
         usage_delta=usage_delta,
         cache=caches,
@@ -498,8 +495,8 @@ def commitment_loss(
     by ``row_weights`` when given, weights summing to 1). Returns the value
     plus the encoder-side gradient (w.r.t. the embeddings, from the first
     term) and the codebook-side gradient (w.r.t. the quantized output,
-    from the second term). Decoder gradients are bridged to the encoder
-    separately via straight_through.
+    from the second term). The trainer passes the decoder gradient
+    straight through the quantizer to the encoder on its own.
     """
     z = np.asarray(embeddings, dtype=np.float64)
     q = np.asarray(quantized, dtype=np.float64)
@@ -515,8 +512,3 @@ def commitment_loss(
     mean_err = float(row_weights @ errors)
     w = row_weights[:, None]
     return beta * mean_err + mean_err, 2.0 * beta * (z - q) * w, 2.0 * (q - z) * w
-
-
-def straight_through(decoder_grad: Array) -> Array:
-    """Copy decoder-side gradients across the quantizer unchanged."""
-    return np.asarray(decoder_grad, dtype=np.float64)

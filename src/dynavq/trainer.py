@@ -3,8 +3,9 @@
 One step runs the batch's images through the pipeline in one pass over
 their stacked patches, assembles the total loss (reconstruction +
 commitment, plus the diversity and allocation losses once the warm-up
-phase ends), backpropagates through the hand-derived gradients with a
-straight-through bridge at the quantizer, and applies Adam. The loop is
+phase ends), backpropagates through the hand-derived gradients, passing
+the decoder gradient straight through the quantizer, and applies Adam to
+every parameter array in one walk over the model's parts. The loop is
 fully deterministic: batches are drawn from a per-step derived RNG, so
 resuming from a checkpoint reproduces the uninterrupted trajectory bit for
 bit.
@@ -20,7 +21,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from dynavq.allocator import (
-    AllocatorGrads,
     allocator_backward,
     dpa_loss,
     init_allocator,
@@ -37,13 +37,8 @@ from dynavq.codebook import (
 from dynavq.checkpoint import CheckpointData, load_checkpoint, save_checkpoint
 from dynavq.dataio import Dataset, gen_synthetic, load_manifest, split
 from dynavq.metrics import codebook_perplexity
-from dynavq.pipeline import Model, forward_image
-from dynavq.quantizer import (
-    QuantizeMode,
-    commitment_loss,
-    quantize_backward,
-    straight_through,
-)
+from dynavq.pipeline import PARTS, Model, forward_image
+from dynavq.quantizer import QuantizeMode, commitment_loss, quantize_backward
 from dynavq.seeding import derive_seed
 
 METRICS_HEADER = (
@@ -122,6 +117,8 @@ class TrainConfig:
             raise ValueError("pool must lie in [top_k, primitives_per_sub]")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
+        if self.weighting not in ("softmax", "linear"):
+            raise ValueError("weighting must be softmax or linear")
         if self.quantize_mode not in ("adaptive", "top1", "fixed"):
             raise ValueError("quantize_mode must be adaptive, top1 or fixed")
         if not 1 <= self.fixed_n <= self.primitives_per_sub:
@@ -296,73 +293,61 @@ def train_step(
 
     # pixel MSE equals the patch-matrix MSE (same multiset of values)
     rec, d_recon = reconstruction_loss(fwd.patches, fwd.recon_patches, row_weights)
-    commit, d_z_commit, d_q_commit = commitment_loss(z, q, config.beta, row_weights)
+    commit, d_z_commit, d_q_commit = commitment_loss(z, q, model.beta, row_weights)
     targets = ratio_target(z, q, cb.primitives_per_sub, fwd.offsets)
     dpa, d_ratios = dpa_loss(fwd.ratios, targets, row_weights)
-
-    dec_grads, d_q_rec = mlp_backward(
-        config.lambda_rec * d_recon, fwd.decoder_cache, model.decoder
-    )
-    d_z_total = straight_through(d_q_rec) + d_z_commit
-    d_entries, _ = quantize_backward(d_q_commit, fwd.quant.cache, cb)
-    if active:
-        alloc_grads, d_z_alloc = allocator_backward(
-            config.lambda_dpa * d_ratios, fwd.allocator_cache, model.allocator
-        )
-        d_z_total = d_z_total + d_z_alloc
-    else:
-        alloc = model.allocator
-        alloc_grads = AllocatorGrads(
-            np.zeros_like(alloc.conv1_w), np.zeros_like(alloc.conv1_b),
-            np.zeros_like(alloc.conv2_w), np.zeros_like(alloc.conv2_b),
-        )
-    enc_grads, _ = mlp_backward(d_z_total, fwd.encoder_cache, model.encoder)
-
     dqp, d_cents = diversity_loss(centroids(cb))
-    if active:
-        d_entries = d_entries + config.lambda_dqp * diversity_grad_entries(
-            cb, d_cents
-        )
-
     components = {
         "rec": rec,
         "commit": commit,
         "dqp": dqp if active else 0.0,
         "dpa": dpa if active else 0.0,
     }
+    # before the backward pass, whose gradient dataclasses reject
+    # non-finite arrays: a non-finite loss must raise the RuntimeError that
+    # run_training answers with an abort checkpoint
     loss = total_loss(components, config, current_phase)
+
+    grads = {}
+    grads["decoder"], d_q_rec = mlp_backward(
+        config.lambda_rec * d_recon, fwd.decoder_cache, model.decoder
+    )
+    # the quantizer passes the decoder gradient to the encoder unchanged
+    d_z_total = d_q_rec + d_z_commit
+    d_entries, _ = quantize_backward(d_q_commit, fwd.quant.cache, cb)
+    if active:
+        grads["allocator"], d_z_alloc = allocator_backward(
+            config.lambda_dpa * d_ratios, fwd.allocator_cache, model.allocator
+        )
+        d_z_total = d_z_total + d_z_alloc
+    else:
+        alloc = model.allocator
+        grads["allocator"] = type(alloc)(
+            **{name: np.zeros_like(value) for name, value in vars(alloc).items()}
+        )
+    grads["encoder"], _ = mlp_backward(d_z_total, fwd.encoder_cache, model.encoder)
+    if active:
+        d_entries = d_entries + config.lambda_dqp * diversity_grad_entries(
+            cb, d_cents
+        )
 
     opt = state.opt
     opt.t += 1
     lr = config.learning_rate
+    usage = cb.usage_counts + fwd.quant.usage_delta.astype(np.uint64)
     new_codebook = apply_codebook_grads(
-        cb, d_entries, opt.step_rule("codebook.entries", lr)
+        replace(cb, usage_counts=usage), d_entries,
+        opt.step_rule("codebook.entries", lr),
     )
-    alloc = model.allocator
-    enc = model.encoder
-    dec = model.decoder
-    new_model = replace(
-        model,
-        codebook=new_codebook,
-        allocator=type(alloc)(
-            opt.step_rule("allocator.conv1_w", lr)(alloc.conv1_w, alloc_grads.conv1_w),
-            opt.step_rule("allocator.conv1_b", lr)(alloc.conv1_b, alloc_grads.conv1_b),
-            opt.step_rule("allocator.conv2_w", lr)(alloc.conv2_w, alloc_grads.conv2_w),
-            opt.step_rule("allocator.conv2_b", lr)(alloc.conv2_b, alloc_grads.conv2_b),
-        ),
-        encoder=type(enc)(
-            opt.step_rule("encoder.w1", lr)(enc.w1, enc_grads.w1),
-            opt.step_rule("encoder.b1", lr)(enc.b1, enc_grads.b1),
-            opt.step_rule("encoder.w2", lr)(enc.w2, enc_grads.w2),
-            opt.step_rule("encoder.b2", lr)(enc.b2, enc_grads.b2),
-        ),
-        decoder=type(dec)(
-            opt.step_rule("decoder.w1", lr)(dec.w1, dec_grads.w1),
-            opt.step_rule("decoder.b1", lr)(dec.b1, dec_grads.b1),
-            opt.step_rule("decoder.w2", lr)(dec.w2, dec_grads.w2),
-            opt.step_rule("decoder.b2", lr)(dec.b2, dec_grads.b2),
-        ),
-    )
+    new_parts = {}
+    for part in PARTS:
+        params = getattr(model, part)
+        part_grads = vars(grads[part])
+        new_parts[part] = type(params)(**{
+            name: opt.step_rule(f"{part}.{name}", lr)(value, part_grads[name])
+            for name, value in vars(params).items()
+        })
+    new_model = replace(model, codebook=new_codebook, **new_parts)
 
     counts = fwd.quant.alloc.counts
     ratios = fwd.ratios
@@ -426,12 +411,9 @@ def run_training(
     train, _ = build_datasets(config)
     if resume_from is not None:
         data = load_checkpoint(resume_from)
+        _check_resume(data, config)
         opt = AdamState(t=data.adam_t, m=data.opt_m, v=data.opt_v)
         state = TrainState(model=data.model, opt=opt, step=data.step, config=config)
-        if state.model.codebook.entries.shape != (
-            config.subcodebooks, config.primitives_per_sub, config.primitive_dim
-        ):
-            raise ValueError("checkpoint codebook shape does not match the config")
     else:
         state = init_state(config)
 
@@ -459,6 +441,32 @@ def run_training(
                 save_checkpoint(warmup_checkpoint_path(config), _to_checkpoint(state))
     save_checkpoint(final_path, _to_checkpoint(state))
     return final_path, metrics_path
+
+
+def _check_resume(data: CheckpointData, config: TrainConfig) -> None:
+    """Reject a checkpoint that the config would not have produced.
+
+    Compares the seed, the model settings and the shape of every parameter
+    array against a fresh model built from the config, and raises
+    ValueError naming the first key that differs.
+    """
+    fresh, loaded = init_state(config).model, data.model
+    # a checkpoint keeps the seed modulo 2**64
+    pairs = [("seed", data.seed % (1 << 64), config.seed % (1 << 64))]
+    for key in ("patch_size", "top_k", "pool", "temperature", "beta", "weighting"):
+        pairs.append((key, getattr(loaded, key), getattr(fresh, key)))
+    pairs.append(
+        ("codebook.entries", loaded.codebook.entries.shape, fresh.codebook.entries.shape)
+    )
+    for part in PARTS:
+        for name, value in vars(getattr(fresh, part)).items():
+            got = getattr(getattr(loaded, part), name).shape
+            pairs.append((f"{part}.{name}", got, value.shape))
+    for key, got, want in pairs:
+        if got != want:
+            raise ValueError(
+                f"checkpoint {key} is {got!r} but the config gives {want!r}"
+            )
 
 
 def _to_checkpoint(state: TrainState) -> CheckpointData:

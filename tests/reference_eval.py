@@ -53,19 +53,18 @@ def reference_evaluate(
     model: Model, dataset: Dataset, mode: Optional[QuantizeMode] = None
 ) -> EvalStats:
     """Evaluate a dataset with one forward pass per image."""
-    work = model.copy()
     if mode is None:
-        mode = work.adaptive_mode()
+        mode = model.adaptive_mode()
     mses: List[float] = []
     psnrs: List[float] = []
     ssims: List[float] = []
     all_counts: List[np.ndarray] = []
     all_labels: List[np.ndarray] = []
-    usage = np.zeros_like(work.codebook.usage_counts, dtype=np.float64)
+    usage = np.zeros_like(model.codebook.usage_counts, dtype=np.float64)
     for item in dataset.items:
         h, w = item.image.shape
-        result = forward_image(work, item.image, mode)
-        recon = result.recon_image(h, w, work.patch_size)
+        result = forward_image(model, item.image, mode)
+        recon = result.recon_image(h, w, model.patch_size)
         mses.append(reconstruction_loss(item.image, recon)[0])
         clamped = np.clip(recon, 0.0, 1.0)
         psnrs.append(psnr(item.image, clamped))

@@ -21,12 +21,7 @@ from dynavq.codebook import (
 )
 from dynavq.metrics import codebook_perplexity
 from dynavq.pipeline import forward_image
-from dynavq.quantizer import (
-    QuantizeMode,
-    commitment_loss,
-    quantize_backward,
-    straight_through,
-)
+from dynavq.quantizer import QuantizeMode, commitment_loss, quantize_backward
 from dynavq.trainer import TrainState, phase, total_loss
 
 
@@ -63,7 +58,7 @@ def reference_train_step(
         "decoder.b2": np.zeros_like(model.decoder.b2),
     }
     sums = {"rec": 0.0, "commit": 0.0, "dpa": 0.0}
-    usage_before = cb.usage_counts.copy()
+    usage_delta = np.zeros_like(cb.usage_counts)
     all_counts: List[np.ndarray] = []
     all_ratios: List[np.ndarray] = []
     all_targets: List[np.ndarray] = []
@@ -83,7 +78,7 @@ def reference_train_step(
         dec_grads, d_q_rec = mlp_backward(
             config.lambda_rec * d_recon, fwd.decoder_cache, model.decoder
         )
-        d_z_total = straight_through(d_q_rec) + d_z_commit
+        d_z_total = d_q_rec + d_z_commit
         d_entries, _ = quantize_backward(d_q_commit, fwd.quant.cache, cb)
         if active:
             alloc_grads, d_z_alloc = allocator_backward(
@@ -109,6 +104,7 @@ def reference_train_step(
         sums["rec"] += rec / n
         sums["commit"] += commit / n
         sums["dpa"] += dpa / n
+        usage_delta += fwd.quant.usage_delta.astype(np.uint64)
         all_counts.append(fwd.quant.alloc.counts)
         all_ratios.append(fwd.ratios)
         all_targets.append(target)
@@ -131,7 +127,9 @@ def reference_train_step(
     opt.t += 1
     lr = config.learning_rate
     new_codebook = apply_codebook_grads(
-        cb, grads["codebook.entries"], opt.step_rule("codebook.entries", lr)
+        replace(cb, usage_counts=cb.usage_counts + usage_delta),
+        grads["codebook.entries"],
+        opt.step_rule("codebook.entries", lr),
     )
     alloc = model.allocator
     enc = model.encoder
@@ -162,7 +160,7 @@ def reference_train_step(
     counts = np.concatenate(all_counts)
     ratios = np.concatenate(all_ratios)
     targets = np.concatenate(all_targets)
-    usage_step = (new_model.codebook.usage_counts - usage_before).astype(np.float64)
+    usage_step = usage_delta.astype(np.float64)
     perplexity = float(np.mean(codebook_perplexity(usage_step)))
     metrics_row = {
         "step": state.step,

@@ -97,16 +97,20 @@ def test_mixed_image_sizes_match_per_image_loop(tmp_path, step):
     assert_same_step(batched, reference)
 
 
-def test_backward_uses_the_forward_temperature(tmp_path):
-    """The codebook gradient is taken at the model's temperature, the one
-    the forward pass weighted with, even when the config says otherwise."""
+@pytest.mark.parametrize(
+    "field, value", [("temperature", 0.5), ("beta", 0.9)], ids=["temperature", "beta"]
+)
+def test_backward_uses_the_forward_temperature(tmp_path, field, value):
+    """The step is taken with the model's temperature and beta, the ones
+    the forward pass and the losses use, even when the config says
+    otherwise."""
     config = desk_config(tmp_path, warmup_fraction=0.0)
-    edited = replace(config, temperature=0.5)
+    edited = replace(config, **{field: value})
     train, _ = build_datasets(config)
     batch = [item.image for item in train.items[:2]]
     state_a, row_a, _ = train_step(init_state(config), batch)
     state_b = replace(init_state(config), config=edited)
-    assert state_b.model.temperature != edited.temperature
+    assert getattr(state_b.model, field) != getattr(edited, field)
     state_b, row_b, _ = train_step(state_b, batch)
     assert row_a == row_b
     for part, name in PARAMS:

@@ -96,3 +96,12 @@ class TestErrors:
         path.write_bytes(raw[:keep])
         with pytest.raises(CheckpointError, match="missing section"):
             load_checkpoint(path)
+
+    def test_every_truncation_raises_checkpoint_error(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, CheckpointData(model=make_model()))
+        raw = path.read_bytes()
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(CheckpointError, match="m.ckpt"):
+                load_checkpoint(path)

@@ -46,10 +46,15 @@ class TestParseConfig:
         path.write_text("warmup_fraction = 0.25\n")
         assert parse_config(path).to_train_config().warmup_fraction == 0.25
 
-    def test_negative_top_k_names_key(self, tmp_path):
+    @pytest.mark.parametrize(
+        "line, key",
+        [("top_k = -1", "top_k"), ("weighting = sofmax", "weighting")],
+        ids=["top_k", "weighting"],
+    )
+    def test_negative_top_k_names_key(self, tmp_path, line, key):
         path = tmp_path / "k.cfg"
-        path.write_text("top_k = -1\n")
-        with pytest.raises(ConfigError, match="top_k"):
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError, match=key):
             parse_config(path)
 
     def test_unknown_key_names_line(self, tmp_path):

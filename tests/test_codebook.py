@@ -8,9 +8,13 @@ from dynavq.codebook import (
     diversity_grad_entries,
     diversity_loss,
     init_codebook,
-    sgd_step,
 )
 from dynavq.numerics import grad_check
+
+
+def sgd_step(learning_rate):
+    """Plain gradient-descent step rule for apply_codebook_grads."""
+    return lambda param, grad: param - learning_rate * grad
 
 
 class TestInit:

@@ -13,7 +13,6 @@ from dynavq.quantizer import (
     quantize,
     quantize_backward,
     quantize_chunk,
-    straight_through,
 )
 
 from oracle_helpers import oracle_quantize_chunk
@@ -139,7 +138,6 @@ class TestQuantize:
         out_b = quantize(z, cb_b, None, QuantizeMode.top1())
         assert np.array_equal(out_a.quantized, out_b.quantized)
         assert np.array_equal(out_a.per_patch_error, out_b.per_patch_error)
-        assert out_a.commit_loss == out_b.commit_loss
 
     def test_fixed_full_ignores_ratios(self):
         cb_a = init_codebook(2, 4, 2, seed=1)
@@ -164,13 +162,12 @@ class TestQuantize:
 
     def test_usage_counts_increment(self):
         cb = init_codebook(1, 4, 2, seed=0)
+        untouched = cb.copy()
         z = np.random.default_rng(1).normal(size=(6, 2))
-        before = cb.usage_counts.copy()
         out = quantize(z, cb, None, QuantizeMode.fixed_top_n(2))
-        assert cb.usage_counts.sum() - before.sum() == 12  # 6 patches x 2 picks
-        assert np.array_equal(
-            cb.usage_counts - before, out.usage_delta.astype(np.uint64)
-        )
+        assert out.usage_delta.sum() == 12  # 6 patches x 2 picks
+        assert np.array_equal(cb.usage_counts, untouched.usage_counts)
+        assert np.array_equal(cb.entries, untouched.entries)
 
     def test_counts_respect_ratio(self):
         cb = init_codebook(1, 16, 2, seed=0)
@@ -344,8 +341,3 @@ class TestCommitment:
             q,
         )
         assert report.passed, report
-
-
-def test_straight_through_identity():
-    g = np.random.default_rng(0).normal(size=(3, 4))
-    assert np.array_equal(straight_through(g), g)

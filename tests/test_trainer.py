@@ -38,6 +38,19 @@ def small_config(tmp_path, **overrides):
     return TrainConfig(**base)
 
 
+#: A config edit that a resume must reject, and the key the error names.
+RESUME_MISMATCHES = [
+    ({"seed": 2}, "seed"),
+    ({"patch_size": 2}, "patch_size"),
+    ({"top_k": 4}, "top_k"),
+    ({"pool": 12}, "pool"),
+    ({"temperature": 0.5}, "temperature"),
+    ({"beta": 0.5}, "beta"),
+    ({"weighting": "linear"}, "weighting"),
+    ({"hidden_dim": 16}, "encoder.w1"),
+]
+
+
 class TestPhase:
     def test_first_step_warmup(self):
         assert phase(0, 1000, 0.25) == "warmup"
@@ -199,6 +212,20 @@ class TestRunTraining:
         assert np.array_equal(
             final_full.model.encoder.w1, final_resumed.model.encoder.w1
         )
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        RESUME_MISMATCHES,
+        ids=[key for _, key in RESUME_MISMATCHES],
+    )
+    def test_resume_rejects_a_mismatched_config(self, tmp_path, overrides, key):
+        ckpt, _ = run_training(small_config(tmp_path, total_steps=2))
+        edited = small_config(
+            tmp_path, total_steps=4, metrics_path=str(tmp_path / "resumed.csv"),
+            checkpoint_path=str(tmp_path / "resumed.ckpt"), **overrides,
+        )
+        with pytest.raises(ValueError, match=key):
+            run_training(edited, resume_from=str(ckpt))
 
     def test_observer_sees_every_step(self, tmp_path):
         config = small_config(tmp_path, total_steps=5)
