@@ -85,19 +85,16 @@ def _conv1d_valid(x: Array, w: Array, b: Array) -> Array:
     """
     width = w.shape[2]
     length = x.shape[1] - width + 1
-    out = np.tile(b[:, None], (1, length))
-    for u in range(width):
+    out = b[:, None] + w[:, :, 0] @ x[:, :length]
+    for u in range(1, width):
         out += w[:, :, u] @ x[:, u:u + length]
     return out
 
 
 def _sigmoid(x: Array) -> Array:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function; exp only sees non-positive arguments."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass

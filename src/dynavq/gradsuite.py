@@ -117,10 +117,10 @@ def _stable_quantizer_setup(seed: int):
         ratios = rng.uniform(0.2, 0.9, size=4)
         out = quantize(z, cb, ratios, QuantizeMode.adaptive(3))
         stable = True
-        for cache in out.cache:
-            ordered = -np.sort(-cache.sims, axis=1)
+        for sims in (s for cache in out.cache for s in cache.sims):
+            ordered = -np.sort(-sims, axis=1)
             for i, n in enumerate(out.alloc.counts):
-                if n < cache.sims.shape[1]:
+                if n < sims.shape[1]:
                     if ordered[i, n - 1] - ordered[i, n] < SELECTION_MARGIN:
                         stable = False
         if stable:

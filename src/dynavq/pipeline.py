@@ -9,6 +9,7 @@ into it. Training and evaluation both build on this module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -24,7 +25,7 @@ from dynavq.autoencoder import (
     unpatchify,
 )
 from dynavq.codebook import Codebook
-from dynavq.quantizer import QuantizeMode, QuantizeOutput, quantize
+from dynavq.quantizer import WEIGHTINGS, QuantizeMode, QuantizeOutput, quantize
 
 #: The networks other than the codebook, in checkpoint and optimizer order.
 #: Each is a parameter dataclass whose fields are walked as ``vars(params)``.
@@ -47,6 +48,18 @@ class Model:
     weighting: str = "softmax"
 
     def __post_init__(self):
+        if self.weighting not in WEIGHTINGS:
+            raise ValueError(
+                f"weighting must be one of {WEIGHTINGS}, got {self.weighting!r}"
+            )
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ValueError(
+                f"temperature must be finite and positive, got {self.temperature}"
+            )
+        if not self.beta >= 0:
+            raise ValueError(f"beta must be non-negative, got {self.beta}")
+        if self.patch_size < 1:
+            raise ValueError(f"patch_size must be at least 1, got {self.patch_size}")
         if self.encoder.out_dim != self.codebook.embed_dim:
             raise ValueError("encoder output dim must match the codebook embed dim")
         if self.decoder.in_dim != self.codebook.embed_dim:

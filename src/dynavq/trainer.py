@@ -38,7 +38,12 @@ from dynavq.checkpoint import CheckpointData, load_checkpoint, save_checkpoint
 from dynavq.dataio import Dataset, gen_synthetic, load_manifest, split
 from dynavq.metrics import codebook_perplexity
 from dynavq.pipeline import PARTS, Model, forward_image
-from dynavq.quantizer import QuantizeMode, commitment_loss, quantize_backward
+from dynavq.quantizer import (
+    WEIGHTINGS,
+    QuantizeMode,
+    commitment_loss,
+    quantize_backward,
+)
 from dynavq.seeding import derive_seed
 
 METRICS_HEADER = (
@@ -117,7 +122,7 @@ class TrainConfig:
             raise ValueError("pool must lie in [top_k, primitives_per_sub]")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
-        if self.weighting not in ("softmax", "linear"):
+        if self.weighting not in WEIGHTINGS:
             raise ValueError("weighting must be softmax or linear")
         if self.quantize_mode not in ("adaptive", "top1", "fixed"):
             raise ValueError("quantize_mode must be adaptive, top1 or fixed")

@@ -1,9 +1,11 @@
-"""Smoke runs of the benchmark: a traced train_desk round and an untraced
-tokenize_desk round must pass their output checks (reference forward
-pass, identical repeated trainings, gradient suite), and every tracer
-binding must still resolve. tokenize_desk is the workload whose model has
-spread adaptive counts when its eval PSNR is checked against the
-reference forward pass."""
+"""Smoke runs of the benchmark: a traced train_desk round and untraced
+tokenize_desk and train_wide_codebook rounds must pass their output checks
+(reference forward pass, identical repeated trainings, gradient suite),
+and every tracer binding must still resolve. tokenize_desk is the workload
+whose model has spread adaptive counts when its eval PSNR is checked
+against the reference forward pass; train_wide_codebook runs the same
+checks at 256 codes per sub-codebook, where a training batch is scored
+one sub-codebook per pass and a single image two per pass."""
 
 import json
 import subprocess
@@ -17,8 +19,8 @@ RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
 @pytest.mark.parametrize(
     "workload, trace",
-    [("train_desk", "1"), ("tokenize_desk", "0")],
-    ids=["traced-train_desk", "untraced-tokenize_desk"],
+    [("train_desk", "1"), ("tokenize_desk", "0"), ("train_wide_codebook", "0")],
+    ids=["traced-train_desk", "untraced-tokenize_desk", "untraced-train_wide_codebook"],
 )
 def test_bench_round_is_correct(workload, trace):
     proc = subprocess.run(

@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -105,3 +106,29 @@ class TestErrors:
             path.write_bytes(raw[:cut])
             with pytest.raises(CheckpointError, match="m.ckpt"):
                 load_checkpoint(path)
+
+    def test_bad_weighting_byte_raises_checkpoint_error(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, CheckpointData(model=make_model()))
+        raw = path.read_bytes()
+        # the weighting is stored one little-endian u64 per character
+        at = raw.index(b"".join(struct.pack("<Q", ord(c)) for c in "softmax"))
+        path.write_bytes(raw[:at] + struct.pack("<Q", ord("t")) + raw[at + 8:])
+        with pytest.raises(CheckpointError, match="m.ckpt.*toftmax"):
+            load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("weighting", "toftmax"),
+        ("temperature", 0.0),
+        ("temperature", float("nan")),
+        ("temperature", float("inf")),
+        ("beta", -0.1),
+        ("patch_size", 0),
+    ],
+)
+def test_model_rejects_bad_setting(key, value):
+    with pytest.raises(ValueError, match=key):
+        replace(make_model(), **{key: value})

@@ -62,7 +62,8 @@ def test_quantize_selects_stable_argsort_head(case):
     cb = Codebook(entries[None], np.zeros((1, entries.shape[0]), dtype=np.uint64))
     out = quantize(rows, cb, None, QuantizeMode.fixed_top_n(cap))
     (cache,) = out.cache
-    assert np.array_equal(out.alloc.indices[0], stable_head(cache.sims, cap))
+    (sims,) = cache.sims
+    assert np.array_equal(out.alloc.indices[0], stable_head(sims, cap))
 
 
 def test_pool_changes_no_output():

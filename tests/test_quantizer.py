@@ -7,6 +7,7 @@ from dynavq.codebook import Codebook, init_codebook
 from dynavq.gradsuite import check_quantizer_linear
 from dynavq.numerics import grad_check
 from dynavq.quantizer import (
+    PASS_SIMS,
     QuantizeMode,
     chunk_embeddings,
     commitment_loss,
@@ -223,10 +224,11 @@ class TestQuantizeBackward:
             ratios = rng.uniform(0.2, 0.9, size=4)
             out = quantize(z, cb.copy(), ratios, QuantizeMode.adaptive(3))
             ok = True
-            for cache, counts in [(c, out.alloc.counts) for c in out.cache]:
-                sims_sorted = -np.sort(-cache.sims, axis=1)
+            counts = out.alloc.counts
+            for sims in (s for cache in out.cache for s in cache.sims):
+                sims_sorted = -np.sort(-sims, axis=1)
                 for i, n in enumerate(counts):
-                    if n < cache.sims.shape[1]:
+                    if n < sims.shape[1]:
                         if sims_sorted[i, n - 1] - sims_sorted[i, n] < margin:
                             ok = False
             if ok:
@@ -293,6 +295,79 @@ class TestQuantizeBackward:
                         weighting="linear")
         d_rest, _ = quantize_backward(np.delete(coeff, 1, axis=0), rest.cache, cb)
         np.testing.assert_allclose(d_entries, d_rest + expect, rtol=1e-12, atol=1e-15)
+
+
+GROUP_ROWS = (0, 1, 64, 65, 150, 512)
+GROUP_CODES = (5, 64, 256)
+GROUP_MODES = {
+    "top1": lambda codes: QuantizeMode.top1(),
+    "fixed": lambda codes: QuantizeMode.fixed_top_n(min(codes, 10)),
+    "adaptive": lambda codes: QuantizeMode.adaptive(min(codes, 8)),
+}
+
+
+def test_group_shapes_span_pass_sims():
+    """The shapes below take one, two, three and all four sub-codebooks
+    per pass."""
+    sizes = {
+        min(4, max(1, PASS_SIMS // max(1, rows * codes)))
+        for rows in GROUP_ROWS
+        for codes in GROUP_CODES
+    }
+    assert sizes == {1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("weighting", ["softmax", "linear"])
+@pytest.mark.parametrize("mode_name", sorted(GROUP_MODES))
+@pytest.mark.parametrize("codes", GROUP_CODES)
+@pytest.mark.parametrize("rows", GROUP_ROWS)
+def test_grouping_changes_no_bit(rows, codes, mode_name, weighting):
+    """Quantizing with the whole codebook, in passes of several
+    sub-codebooks, equals quantizing each sub-codebook alone as a one-sub
+    codebook and concatenating, byte for byte, forward and backward."""
+    rng = np.random.default_rng(rows * 1000 + codes)
+    cb = init_codebook(4, codes, 4, seed=rows + codes)
+    z = rng.normal(size=(rows, 16))
+    ratios = rng.uniform(0.0, 1.0, size=rows)
+    coeff = rng.normal(size=z.shape)
+    mode = GROUP_MODES[mode_name](codes)
+
+    def run(emb, book, grad):
+        out = quantize(emb, book, ratios, mode, temperature=0.05, weighting=weighting)
+        return out, quantize_backward(grad, out.cache, book)
+
+    whole, (d_entries, d_input) = run(z, cb, coeff)
+    group = max(1, PASS_SIMS // max(1, rows * codes))
+    assert [c.codes.shape[0] for c in whole.cache] == [
+        min(group, 4 - first) for first in range(0, 4, group)
+    ]
+    cols = [slice(4 * j, 4 * j + 4) for j in range(4)]
+    parts = [
+        run(z[:, c], make_codebook(cb.entries[j:j + 1]), coeff[:, c])
+        for j, c in enumerate(cols)
+    ]
+    quantized = np.concatenate([out.quantized for out, _ in parts], axis=1)
+    expect = {
+        "quantized": quantized,
+        "indices": np.concatenate([out.alloc.indices for out, _ in parts]),
+        "weights": np.concatenate([out.alloc.weights for out, _ in parts]),
+        "usage_delta": np.concatenate([out.usage_delta for out, _ in parts]),
+        "per_patch_error": ((quantized - z) ** 2).sum(axis=1),
+        "d_entries": np.concatenate([d[0] for _, d in parts]),
+        "d_input": np.concatenate([d[1] for _, d in parts], axis=1),
+    }
+    got = {
+        "quantized": whole.quantized,
+        "indices": whole.alloc.indices,
+        "weights": whole.alloc.weights,
+        "usage_delta": whole.usage_delta,
+        "per_patch_error": whole.per_patch_error,
+        "d_entries": d_entries,
+        "d_input": d_input,
+    }
+    for key, value in expect.items():
+        assert got[key].shape == value.shape, key
+        assert got[key].tobytes() == value.tobytes(), key
 
 
 class TestCommitment:
