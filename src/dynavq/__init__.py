@@ -46,24 +46,17 @@ from dynavq.metrics import (
     rate_distortion,
     ssim,
 )
-from dynavq.numerics import (
-    GradReport,
-    cosine_similarity_matrix,
-    grad_check,
-    masked_softmax,
-    top_k_indices,
-)
+from dynavq.numerics import GradReport, cosine_similarity_matrix, grad_check
 from dynavq.pipeline import Model, forward_image
 from dynavq.quantizer import (
     AllocationMap,
     QuantizeMode,
     QuantizeOutput,
-    chunk_embeddings,
     commitment_loss,
     quantize,
     quantize_chunk,
 )
-from dynavq.seeding import derive_seed, seed_everything
+from dynavq.seeding import derive_seed
 from dynavq.trainer import TrainConfig, TrainState, run_training, train_step
 
 __version__ = "0.1.0"
@@ -88,7 +81,6 @@ __all__ = [
     "apply_codebook_grads",
     "centroid_similarity_matrix",
     "centroids",
-    "chunk_embeddings",
     "codebook_perplexity",
     "commitment_loss",
     "complexity_correlation",
@@ -108,7 +100,6 @@ __all__ = [
     "init_encoder",
     "load_checkpoint",
     "load_raster",
-    "masked_softmax",
     "patchify",
     "psnr",
     "quantize",
@@ -119,11 +110,9 @@ __all__ = [
     "run_training",
     "save_checkpoint",
     "save_raster",
-    "seed_everything",
     "derive_seed",
     "split",
     "ssim",
-    "top_k_indices",
     "train_step",
     "unpatchify",
     "__version__",

@@ -1,19 +1,27 @@
 """Flat binary checkpoint container.
 
-Layout: a fixed header (magic ``CDDV``, u32 version, u32 sub-codebook
-count, u32 primitives per sub-codebook, u32 primitive dim, all
-little-endian), the codebook entries as little-endian f64 in
-sub-codebook-major row-major order, the usage counters as u64, then a
+Layout (format 2): a fixed header (magic ``CDDV``, u32 version, u32
+sub-codebook count, u32 primitives per sub-codebook, u32 primitive dim,
+all little-endian), the codebook entries as little-endian f64 in
+sub-codebook-major row-major order, the usage counters as u64, a
 sequence of tagged sections (allocator, encoder, decoder, optimizer,
-meta). Each section is ``[12-byte NUL-padded ASCII tag][u64 length]
-[payload]`` where the payload is a list of named arrays. Loading a
-truncated or malformed file raises CheckpointError naming the path (and,
-for a truncation, the byte offset).
+meta), then the SHA-256 digest of every byte before it. Each section is
+``[12-byte NUL-padded ASCII tag][u64 length][payload]`` where the payload
+is a list of named arrays; meta holds step, seed, adam_t and the model's
+SETTINGS. Format 1 has no digest and one more meta entry, the inert
+``pool``, which is read and dropped; format 1 files still load.
+
+A save writes a temporary file in the target's directory and renames it
+into place, so the target is never left half written. Loading a
+truncated, corrupted or malformed file raises CheckpointError naming the
+path.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,11 +30,13 @@ from typing import Dict, get_type_hints
 import numpy as np
 
 from dynavq.codebook import Codebook
-from dynavq.pipeline import PARTS, Model
+from dynavq.pipeline import PARTS, SETTINGS, Model
 
 MAGIC = b"CDDV"
-VERSION = 1
+VERSION = 2
 _TAG_LEN = 12
+_DIGEST_LEN = 32
+_MODEL_TYPES = get_type_hints(Model)
 
 _DTYPES = {0: np.dtype("<f8"), 1: np.dtype("<i8"), 2: np.dtype("<u8")}
 _DTYPE_CODES = {np.dtype("<f8"): 0, np.dtype("<i8"): 1, np.dtype("<u8"): 2}
@@ -58,6 +68,22 @@ def _pack_array(name: str, arr: np.ndarray) -> bytes:
     head += struct.pack(f"<{data.ndim}I", *data.shape) if data.ndim else b""
     head += struct.pack("<B", _DTYPE_CODES[key])
     return head + raw
+
+
+def _setting_array(name: str, value) -> np.ndarray:
+    """A model setting as a meta array; a string is one u64 per ASCII
+    character."""
+    kind = _MODEL_TYPES[name]
+    if kind is str:
+        return np.frombuffer(value.encode("ascii"), dtype=np.uint8).astype("<u8")
+    return np.array(value, dtype="<f8" if kind is float else "<u8")
+
+
+def _setting_value(name: str, arr: np.ndarray):
+    kind = _MODEL_TYPES[name]
+    if kind is str:
+        return arr.astype(np.uint8).tobytes().decode("ascii")
+    return kind(arr.reshape(-1)[0])
 
 
 def _take(raw: bytes, pos: int, size: int, end: int) -> bytes:
@@ -136,22 +162,19 @@ def save_checkpoint(path, data: CheckpointData) -> None:
         "step": np.array(data.step, dtype="<u8"),
         "seed": np.array(data.seed & 0xFFFFFFFFFFFFFFFF, dtype="<u8"),
         "adam_t": np.array(data.adam_t, dtype="<u8"),
-        "patch_size": np.array(model.patch_size, dtype="<u8"),
-        "top_k": np.array(model.top_k, dtype="<u8"),
-        "pool": np.array(model.pool, dtype="<u8"),
-        "temperature": np.array(model.temperature, dtype="<f8"),
-        "beta": np.array(model.beta, dtype="<f8"),
-        "weighting": np.frombuffer(
-            model.weighting.encode("ascii"), dtype=np.uint8
-        ).astype("<u8"),
+        **{name: _setting_array(name, getattr(model, name)) for name in SETTINGS},
     }
     blob += section("meta", meta)
-    Path(path).write_bytes(blob)
+    blob += hashlib.sha256(blob).digest()
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(blob)
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path) -> CheckpointData:
-    """Read a checkpoint; a truncated or malformed file raises
-    CheckpointError naming the path."""
+    """Read a checkpoint of format 1 or 2; a truncated, corrupted or
+    malformed file raises CheckpointError naming the path."""
     raw = Path(path).read_bytes()
     try:
         return _parse(raw)
@@ -165,9 +188,16 @@ def _parse(raw: bytes) -> CheckpointData:
     end = len(raw)
     if raw[:4] != MAGIC:
         raise CheckpointError(f"bad magic {raw[:4]!r}, expected {MAGIC!r}")
-    version, subs, prims, dim = _unpack("<IIII", raw, 4, end)
-    if version != VERSION:
+    (version,) = _unpack("<I", raw, 4, end)
+    if version == VERSION:
+        end -= _DIGEST_LEN
+        if end < 8:
+            raise CheckpointError(f"truncated: {len(raw)} bytes, no room for the digest")
+        if hashlib.sha256(raw[:end]).digest() != raw[end:]:
+            raise CheckpointError("SHA-256 mismatch: the file is truncated or corrupted")
+    elif version != 1:
         raise CheckpointError(f"unsupported version {version}")
+    subs, prims, dim = _unpack("<III", raw, 8, end)
     pos = 4 + 16
     n_entries = subs * prims * dim
     entries = np.frombuffer(_take(raw, pos, n_entries * 8, end), dtype="<f8")
@@ -202,23 +232,15 @@ def _parse(raw: bytes) -> CheckpointData:
     seed_u = int(scalar("seed"))
     if seed_u >= 1 << 63:
         seed_u -= 1 << 64
-    part_types = get_type_hints(Model)
     model = Model(
         codebook=Codebook(entries=entries, usage_counts=usage),
         **{
-            part: part_types[part](**{
+            part: _MODEL_TYPES[part](**{
                 name: arr.astype(np.float64) for name, arr in sections[part].items()
             })
             for part in PARTS
         },
-        patch_size=int(scalar("patch_size")),
-        top_k=int(scalar("top_k")),
-        pool=int(scalar("pool")),
-        temperature=float(scalar("temperature")),
-        beta=float(scalar("beta")),
-        weighting=bytes(
-            meta["weighting"].astype(np.uint8).tobytes()
-        ).decode("ascii"),
+        **{name: _setting_value(name, meta[name]) for name in SETTINGS},
     )
     opt_m: Dict[str, np.ndarray] = {}
     opt_v: Dict[str, np.ndarray] = {}

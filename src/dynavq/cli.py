@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -26,53 +26,24 @@ from dynavq.metrics import (
     evaluate_reconstruction,
     write_eval_report,
 )
-from dynavq.pipeline import forward_image
+from dynavq.pipeline import Model, forward_image
 from dynavq.quantizer import QuantizeMode
 from dynavq.trainer import TrainConfig, run_training
-
-_INT_KEYS = {
-    "total_steps", "batch_size", "subcodebooks", "primitives_per_sub",
-    "primitive_dim", "top_k", "pool", "fixed_n", "seed", "image_size",
-    "patch_size", "hidden_dim", "n_images",
-}
-_FLOAT_KEYS = {
-    "warmup_fraction", "learning_rate", "lambda_rec", "beta", "lambda_dqp",
-    "lambda_dpa", "temperature", "mix_flat", "mix_smooth", "mix_texture",
-    "mix_noise", "train_frac",
-}
-_STR_KEYS = {
-    "weighting", "quantize_mode", "data_source", "metrics_path",
-    "checkpoint_path",
-}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
 
 
 class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class CliConfig:
-    """Validated key/value pairs backing a TrainConfig."""
-
-    values: Dict[str, object]
-
-    def to_train_config(self) -> TrainConfig:
-        config = TrainConfig(**self.values)
-        try:
-            config.validate()
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
-        return config
-
-
-def parse_config(path) -> CliConfig:
-    """Parse a ``key = value`` config file.
+def parse_config(path) -> TrainConfig:
+    """Parse a ``key = value`` config file into a validated TrainConfig.
 
     Lines starting with ``#`` (and inline ``#`` comments) are ignored.
-    Every key is optional; defaults come from TrainConfig. Errors name the
+    Every key is optional; defaults come from TrainConfig, and each value
+    is parsed with the type of its TrainConfig field. Errors name the
     offending key and line number.
     """
+    types = get_type_hints(TrainConfig)
     values: Dict[str, object] = {}
     text = Path(path).read_text()
     for lineno, rawline in enumerate(text.splitlines(), start=1):
@@ -84,28 +55,23 @@ def parse_config(path) -> CliConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _ALL_KEYS:
+        if key not in types:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            if key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            else:
-                values[key] = value
+            values[key] = types[key](value)
         except ValueError as err:
             raise ConfigError(
                 f"line {lineno}: key {key!r}: cannot parse {value!r}"
             ) from err
-    cfg = CliConfig(values)
+    config = TrainConfig(**values)
     # surface range errors early, tagged with the key name
     try:
-        cfg.to_train_config()
-    except ConfigError as err:
+        config.validate()
+    except ValueError as err:
         raise ConfigError(f"config {path}: {err}") from err
-    return cfg
+    return config
 
 
 def _config_help() -> str:
@@ -119,12 +85,12 @@ def _config_help() -> str:
 def _load_config_arg(path: Optional[str]) -> TrainConfig:
     if path is None:
         return TrainConfig()
-    return parse_config(path).to_train_config()
+    return parse_config(path)
 
 
-def _eval_mode(config: TrainConfig, name: str) -> QuantizeMode:
+def _eval_mode(model: Model, name: str) -> QuantizeMode:
     if name == "adaptive":
-        return QuantizeMode.adaptive(config.top_k)
+        return model.adaptive_mode()
     if name == "top1":
         return QuantizeMode.top1()
     return QuantizeMode.fixed_top_n(int(name))
@@ -155,7 +121,7 @@ def _cmd_eval(args) -> int:
     settings.append("adaptive")
     rows = []
     for name in settings:
-        stats = evaluate_reconstruction(data.model, val, _eval_mode(config, name))
+        stats = evaluate_reconstruction(data.model, val, _eval_mode(data.model, name))
         rows.append({
             "setting": name,
             "mean_mse": stats.mean_mse,

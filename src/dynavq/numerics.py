@@ -1,9 +1,9 @@
 """Dense float64 numerics shared by every other module.
 
-Similarity and selection kernels plus a central finite-difference gradient
-checker that validates every hand-derived backward pass in this package.
-All functions are pure and deterministic; ties and reductions are resolved
-in a fixed order so downstream selections are reproducible bit for bit.
+A cosine similarity kernel, a finiteness check and a central
+finite-difference gradient checker that validates every hand-derived
+backward pass in this package. All functions are pure and deterministic;
+reductions run in a fixed order so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -65,41 +65,6 @@ def cosine_similarity_matrix(a: Array, b: Array, eps: float = DEFAULT_NORM_EPS) 
     na = np.maximum(np.sqrt(np.einsum("id,id->i", a, a, optimize=False)), eps)
     nb = np.maximum(np.sqrt(np.einsum("id,id->i", b, b, optimize=False)), eps)
     return dots / np.outer(na, nb)
-
-
-def top_k_indices(scores: Array, k: int) -> Array:
-    """Indices of the ``k`` largest scores, sorted by descending score.
-
-    Ties are broken by ascending index, so the selection is deterministic.
-    """
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 1:
-        raise ValueError("scores must be a 1-D vector")
-    n = s.shape[0]
-    if not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
-        raise ValueError(f"k must be an integer in [1, {n}], got {k!r}")
-    order = np.argsort(-s, kind="stable")
-    return order[:k].astype(np.int64)
-
-
-def masked_softmax(scores: Array, selected: Array, temperature: float = 1.0) -> Array:
-    """Softmax over ``scores[selected]`` only, with max-subtraction.
-
-    Returns one positive weight per selected index; the weights sum to 1.
-    """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    s = np.asarray(scores, dtype=np.float64)
-    sel = np.asarray(selected, dtype=np.int64)
-    if sel.ndim != 1 or sel.size == 0:
-        raise ValueError("selection must be a non-empty 1-D index list")
-    if np.unique(sel).size != sel.size:
-        raise ValueError("selection indices must be unique")
-    if sel.min() < 0 or sel.max() >= s.shape[0]:
-        raise ValueError("selection index out of range")
-    z = s[sel] / temperature
-    e = np.exp(z - z.max())
-    return e / e.sum()
 
 
 @dataclass

@@ -31,10 +31,33 @@ from dynavq.quantizer import WEIGHTINGS, QuantizeMode, QuantizeOutput, quantize
 #: Each is a parameter dataclass whose fields are walked as ``vars(params)``.
 PARTS = ("allocator", "encoder", "decoder")
 
+#: The quantization settings a Model carries, in checkpoint order. Their
+#: defaults are TrainConfig's; check_settings validates them for both.
+SETTINGS = ("patch_size", "top_k", "temperature", "beta", "weighting")
+
+
+def check_settings(settings, primitives_per_sub: int) -> None:
+    """Raise ValueError naming the first of the SETTINGS attributes of
+    ``settings`` (a Model or a TrainConfig) that is out of range."""
+    if settings.patch_size < 1:
+        raise ValueError(f"patch_size must be at least 1, got {settings.patch_size}")
+    if not 1 <= settings.top_k <= primitives_per_sub:
+        raise ValueError("top_k must lie in [1, primitives_per_sub]")
+    if not (math.isfinite(settings.temperature) and settings.temperature > 0):
+        raise ValueError(
+            f"temperature must be finite and positive, got {settings.temperature}"
+        )
+    if not (math.isfinite(settings.beta) and settings.beta >= 0):
+        raise ValueError(f"beta must be finite and non-negative, got {settings.beta}")
+    if settings.weighting not in WEIGHTINGS:
+        raise ValueError(
+            f"weighting must be one of {WEIGHTINGS}, got {settings.weighting!r}"
+        )
+
 
 @dataclass
 class Model:
-    """All parameters of the tokenizer plus quantization settings."""
+    """All parameters of the tokenizer plus its SETTINGS."""
 
     codebook: Codebook
     allocator: AllocatorParams
@@ -42,34 +65,18 @@ class Model:
     decoder: MlpParams
     patch_size: int
     top_k: int
-    pool: int
-    temperature: float = 1.0
-    beta: float = 0.25
-    weighting: str = "softmax"
+    temperature: float
+    beta: float
+    weighting: str
 
     def __post_init__(self):
-        if self.weighting not in WEIGHTINGS:
-            raise ValueError(
-                f"weighting must be one of {WEIGHTINGS}, got {self.weighting!r}"
-            )
-        if not (math.isfinite(self.temperature) and self.temperature > 0):
-            raise ValueError(
-                f"temperature must be finite and positive, got {self.temperature}"
-            )
-        if not self.beta >= 0:
-            raise ValueError(f"beta must be non-negative, got {self.beta}")
-        if self.patch_size < 1:
-            raise ValueError(f"patch_size must be at least 1, got {self.patch_size}")
+        check_settings(self, self.codebook.primitives_per_sub)
         if self.encoder.out_dim != self.codebook.embed_dim:
             raise ValueError("encoder output dim must match the codebook embed dim")
         if self.decoder.in_dim != self.codebook.embed_dim:
             raise ValueError("decoder input dim must match the codebook embed dim")
         if self.allocator.in_channels != self.codebook.embed_dim:
             raise ValueError("allocator channels must match the codebook embed dim")
-        if not 1 <= self.top_k <= self.codebook.primitives_per_sub:
-            raise ValueError("top_k must lie in [1, primitives_per_sub]")
-        if not self.top_k <= self.pool <= self.codebook.primitives_per_sub:
-            raise ValueError("pool must lie in [top_k, primitives_per_sub]")
 
     def adaptive_mode(self) -> QuantizeMode:
         return QuantizeMode.adaptive(self.top_k)
@@ -125,7 +132,6 @@ def forward_image(
         ratios,
         mode,
         temperature=model.temperature,
-        pool=model.pool if mode.kind == "adaptive" else None,
         weighting=model.weighting,
     )
     recon_patches, decoder_cache = mlp_forward(quant.quantized, model.decoder)

@@ -19,8 +19,7 @@ Grouping changes no output bit.
 
 Only each row's head, its ``cap`` most similar primitives (``cap`` being
 the mode's amount), is sorted, weighted and differentiated. The kept set
-is the top ``n`` of all primitives, which always lies inside the head, so
-the ``pool`` setting is validated but cannot change any output.
+is the top ``n`` of all primitives, which always lies inside the head.
 
 Selection is non-differentiable; gradients treat the chosen index sets as
 constants and flow through the weights and the primitive values. The
@@ -31,7 +30,6 @@ its selection counts as ``usage_delta``.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -111,29 +109,10 @@ class AllocationMap:
     def patches(self) -> int:
         return self.counts.shape[0]
 
-    @property
-    def subcodebooks(self) -> int:
-        return self.indices.shape[0]
-
     def patch_selection(self, sub: int, patch: int) -> Tuple[np.ndarray, np.ndarray]:
         """Indices and weights actually used for one patch and sub-codebook."""
         n = int(self.counts[patch])
         return self.indices[sub, patch, :n], self.weights[sub, patch, :n]
-
-    def to_csv(self, path) -> None:
-        """Write one row per patch: index, ratio, count, then per
-        sub-codebook a cell of space-separated ``index:weight`` pairs."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = ["patch_index", "ratio", "count"]
-            header += [f"sub{j}" for j in range(self.subcodebooks)]
-            writer.writerow(header)
-            for i in range(self.patches):
-                row = [str(i), repr(float(self.ratios[i])), str(int(self.counts[i]))]
-                for j in range(self.subcodebooks):
-                    idx, w = self.patch_selection(j, i)
-                    row.append(" ".join(f"{int(a)}:{float(b)!r}" for a, b in zip(idx, w)))
-                writer.writerow(row)
 
 
 @dataclass
@@ -193,19 +172,6 @@ class QuantizeOutput:
     per_patch_error: np.ndarray
     usage_delta: np.ndarray
     cache: Optional[List[ChunkCache]] = field(default=None, repr=False)
-
-
-def chunk_embeddings(embeddings: Array, subcodebooks: int) -> List[Array]:
-    """Split (patches x dim) column-wise into equal-width chunks."""
-    z = np.asarray(embeddings, dtype=np.float64)
-    if z.ndim != 2:
-        raise ValueError("embeddings must be 2-D")
-    if z.shape[1] % subcodebooks != 0:
-        raise ValueError(
-            f"embedding dim {z.shape[1]} not divisible by {subcodebooks} sub-codebooks"
-        )
-    width = z.shape[1] // subcodebooks
-    return [z[:, j * width:(j + 1) * width] for j in range(subcodebooks)]
 
 
 def _clamped_norms(x: Array, eps: float) -> Array:
@@ -358,7 +324,8 @@ def quantize_chunk(
     """Quantize a single chunk row against one sub-codebook.
 
     Returns (output vector, selected indices by descending similarity,
-    weights over the selection).
+    weights over the selection). ``pool`` must lie in [n, codes] but
+    changes no output: the kept set is the top ``n`` of all codes.
     """
     row = check_finite("chunk", chunk_row).reshape(1, -1)
     cb = np.asarray(sub_cb, dtype=np.float64)
@@ -382,7 +349,6 @@ def quantize(
     ratios: Optional[Array],
     mode: QuantizeMode,
     temperature: float = 1.0,
-    pool: Optional[int] = None,
     eps: float = DEFAULT_NORM_EPS,
     weighting: str = "softmax",
 ) -> QuantizeOutput:
@@ -426,11 +392,6 @@ def quantize(
             raise ValueError("ratio vector length must match the patch count")
         counts = count_from_ratio(r, mode.amount)
         cap = mode.amount
-        eff_pool = mode.amount if pool is None else pool
-        if not cap <= eff_pool <= num_codes:
-            raise ValueError(
-                f"pool must lie in [{cap}, {num_codes}], got {eff_pool}"
-            )
 
     subs = cb.subcodebooks
     # (rows x subs x width) views; sub-codebook j is [:, j]

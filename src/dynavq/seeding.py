@@ -8,9 +8,6 @@ creation order or on draws from other streams.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict
-
-import numpy as np
 
 
 def derive_seed(seed: int, *names: str) -> int:
@@ -18,11 +15,3 @@ def derive_seed(seed: int, *names: str) -> int:
     text = repr(int(seed)) + "".join("|" + str(n) for n in names)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
-
-
-def seed_everything(seed: int) -> Dict[str, np.random.Generator]:
-    """The package's named substreams: data, init, training."""
-    return {
-        name: np.random.default_rng(derive_seed(seed, name))
-        for name in ("data", "init", "training")
-    }

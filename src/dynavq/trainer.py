@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
@@ -37,13 +37,8 @@ from dynavq.codebook import (
 from dynavq.checkpoint import CheckpointData, load_checkpoint, save_checkpoint
 from dynavq.dataio import Dataset, gen_synthetic, load_manifest, split
 from dynavq.metrics import codebook_perplexity
-from dynavq.pipeline import PARTS, Model, forward_image
-from dynavq.quantizer import (
-    WEIGHTINGS,
-    QuantizeMode,
-    commitment_loss,
-    quantize_backward,
-)
+from dynavq.pipeline import PARTS, SETTINGS, Model, check_settings, forward_image
+from dynavq.quantizer import QuantizeMode, commitment_loss, quantize_backward
 from dynavq.seeding import derive_seed
 
 METRICS_HEADER = (
@@ -58,7 +53,12 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class TrainConfig:
-    """Hyperparameters, loss weights, data recipe and output paths."""
+    """Hyperparameters, loss weights, data recipe and output paths.
+
+    Holds the only defaults of the model's SETTINGS. ``pool`` is checked
+    (top_k <= pool <= primitives_per_sub) but changes no output: the
+    quantizer keeps the top-n of all codes.
+    """
 
     total_steps: int = 1000
     warmup_fraction: float = 0.25
@@ -103,6 +103,10 @@ class TrainConfig:
         return (self.mix_flat, self.mix_smooth, self.mix_texture, self.mix_noise)
 
     def validate(self) -> None:
+        for name, kind in get_type_hints(TrainConfig).items():
+            value = getattr(self, name)
+            if kind is float and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.total_steps < 0:
             raise ValueError("total_steps must be non-negative")
         if not 0.0 <= self.warmup_fraction < 1.0:
@@ -111,19 +115,14 @@ class TrainConfig:
             raise ValueError("batch_size must be positive")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be non-negative")
-        for name in ("lambda_rec", "beta", "lambda_dqp", "lambda_dpa"):
+        for name in ("lambda_rec", "lambda_dqp", "lambda_dpa"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         if min(self.subcodebooks, self.primitives_per_sub, self.primitive_dim) < 1:
             raise ValueError("codebook dimensions must be positive")
-        if not 1 <= self.top_k <= self.primitives_per_sub:
-            raise ValueError("top_k must lie in [1, primitives_per_sub]")
+        check_settings(self, self.primitives_per_sub)
         if not self.top_k <= self.pool <= self.primitives_per_sub:
             raise ValueError("pool must lie in [top_k, primitives_per_sub]")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
-        if self.weighting not in WEIGHTINGS:
-            raise ValueError("weighting must be softmax or linear")
         if self.quantize_mode not in ("adaptive", "top1", "fixed"):
             raise ValueError("quantize_mode must be adaptive, top1 or fixed")
         if not 1 <= self.fixed_n <= self.primitives_per_sub:
@@ -237,12 +236,7 @@ def init_state(config: TrainConfig) -> TrainState:
             config.patch_size, config.hidden_dim, config.embed_dim,
             derive_seed(seed, "init", "decoder"),
         ),
-        patch_size=config.patch_size,
-        top_k=config.top_k,
-        pool=config.pool,
-        temperature=config.temperature,
-        beta=config.beta,
-        weighting=config.weighting,
+        **{name: getattr(config, name) for name in SETTINGS},
     )
     return TrainState(model=model, opt=AdamState(), step=0, config=config)
 
@@ -458,7 +452,7 @@ def _check_resume(data: CheckpointData, config: TrainConfig) -> None:
     fresh, loaded = init_state(config).model, data.model
     # a checkpoint keeps the seed modulo 2**64
     pairs = [("seed", data.seed % (1 << 64), config.seed % (1 << 64))]
-    for key in ("patch_size", "top_k", "pool", "temperature", "beta", "weighting"):
+    for key in SETTINGS:
         pairs.append((key, getattr(loaded, key), getattr(fresh, key)))
     pairs.append(
         ("codebook.entries", loaded.codebook.entries.shape, fresh.codebook.entries.shape)

@@ -18,6 +18,31 @@ def oracle_cosine(u, v):
     return dot / (nu * nv)
 
 
+def oracle_top_k(scores, k):
+    """Indices of the ``k`` largest scores, by descending score; ties break
+    by ascending index."""
+    scores = [float(s) for s in scores]
+    if not 1 <= k <= len(scores):
+        raise ValueError(f"k must lie in [1, {len(scores)}], got {k!r}")
+    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))[:k]
+
+
+def oracle_masked_softmax(scores, selected, temperature=1.0):
+    """Softmax of ``scores[i] / temperature`` over the indices ``selected``,
+    one weight per index in the given order."""
+    if temperature <= 0:
+        raise ValueError("temperature must be positive")
+    if not selected:
+        raise ValueError("selection must be a non-empty index list")
+    if len(set(selected)) != len(selected):
+        raise ValueError("selection indices must be unique")
+    scaled = [float(scores[i]) / temperature for i in selected]
+    top = max(scaled)
+    exps = [math.exp(v - top) for v in scaled]
+    total = sum(exps)
+    return [e / total for e in exps]
+
+
 def oracle_quantize_chunk(row, sub_cb, n, temperature=1.0):
     """Enumerate every n-subset of primitives; keep the one with the
     largest similarity sum (lexicographically first among maximizers),
@@ -30,11 +55,9 @@ def oracle_quantize_chunk(row, sub_cb, n, temperature=1.0):
         score = sum(sims[i] for i in subset)
         if best is None or score > best[0] + 1e-15:
             best = (score, subset)
-    ordered = sorted(best[1], key=lambda i: (-sims[i], i))
-    top = max(sims[i] / temperature for i in ordered)
-    exps = [math.exp(sims[i] / temperature - top) for i in ordered]
-    total = sum(exps)
-    weights = [e / total for e in exps]
+    subset = best[1]  # ascending, so position ties are index ties
+    ordered = [subset[j] for j in oracle_top_k([sims[i] for i in subset], n)]
+    weights = oracle_masked_softmax(sims, ordered, temperature)
     out = [0.0] * len(row)
     for w, i in zip(weights, ordered):
         for d in range(len(row)):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from dynavq.checkpoint import load_checkpoint
 from dynavq.cli import ConfigError, parse_config, run_command
 from dynavq.dataio import load_raster, save_raster
-from dynavq.seeding import derive_seed, seed_everything
+from dynavq.metrics import evaluate_reconstruction
+from dynavq.seeding import derive_seed
+from dynavq.trainer import build_datasets
 
 
 CONFIG_SMALL = """
@@ -37,14 +40,14 @@ class TestParseConfig:
     def test_empty_file_all_defaults(self, tmp_path):
         path = tmp_path / "empty.cfg"
         path.write_text("")
-        config = parse_config(path).to_train_config()
+        config = parse_config(path)
         assert config.total_steps == 1000
         assert config.warmup_fraction == 0.25
 
     def test_warmup_fraction(self, tmp_path):
         path = tmp_path / "w.cfg"
         path.write_text("warmup_fraction = 0.25\n")
-        assert parse_config(path).to_train_config().warmup_fraction == 0.25
+        assert parse_config(path).warmup_fraction == 0.25
 
     @pytest.mark.parametrize(
         "line, key",
@@ -55,6 +58,18 @@ class TestParseConfig:
         path = tmp_path / "k.cfg"
         path.write_text(line + "\n")
         with pytest.raises(ConfigError, match=key):
+            parse_config(path)
+
+    @pytest.mark.parametrize("key", [
+        "warmup_fraction", "learning_rate", "lambda_rec", "beta", "lambda_dqp",
+        "lambda_dpa", "temperature", "mix_flat", "mix_smooth", "mix_texture",
+        "mix_noise", "train_frac",
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_names_key(self, tmp_path, key, value):
+        path = tmp_path / "f.cfg"
+        path.write_text(f"{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
             parse_config(path)
 
     def test_unknown_key_names_line(self, tmp_path):
@@ -80,25 +95,32 @@ class TestParseConfig:
         p1.write_text("seed = 5\ntop_k = 4\n")
         p2 = tmp_path / "b.cfg"
         p2.write_text("top_k = 4\nseed = 5\n")
-        assert parse_config(p1).to_train_config() == parse_config(p2).to_train_config()
+        assert parse_config(p1) == parse_config(p2)
 
     def test_inline_comment(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("seed = 9  # the answer\n")
-        assert parse_config(path).to_train_config().seed == 9
+        assert parse_config(path).seed == 9
+
+
+def named_streams(seed):
+    return {
+        name: np.random.default_rng(derive_seed(seed, name))
+        for name in ("data", "init", "training")
+    }
 
 
 class TestSeeding:
     def test_same_seed_same_streams(self):
-        a = seed_everything(7)
-        b = seed_everything(7)
+        a = named_streams(7)
+        b = named_streams(7)
         for name in ("data", "init", "training"):
             assert a[name].integers(0, 1 << 30, 5).tolist() == b[name].integers(
                 0, 1 << 30, 5
             ).tolist()
 
     def test_streams_differ(self):
-        streams = seed_everything(7)
+        streams = named_streams(7)
         seqs = {
             name: streams[name].integers(0, 1 << 30, 8).tolist()
             for name in streams
@@ -177,6 +199,28 @@ class TestRunCommand:
             "--input", str(img_path), "--output", str(heat_path),
         ]) == 0
         assert load_raster(heat_path).shape == (4, 4)
+
+    def test_eval_takes_the_adaptive_cap_from_the_checkpoint(self, tmp_path, capsys):
+        trained = write_config(
+            tmp_path,
+            metrics_path=tmp_path / "metrics.csv",
+            checkpoint_path=tmp_path / "model.ckpt",
+        )
+        assert run_command(["train", "--config", str(trained)]) == 0
+        # the same data recipe, with another cap
+        other = tmp_path / "other.cfg"
+        other.write_text(CONFIG_SMALL.replace("top_k = 8", "top_k = 1"))
+        report = tmp_path / "report.csv"
+        assert run_command([
+            "eval", "--checkpoint", str(tmp_path / "model.ckpt"),
+            "--config", str(other), "--out", str(report), "--forced-n", "",
+        ]) == 0
+        model = load_checkpoint(tmp_path / "model.ckpt").model
+        _, val = build_datasets(parse_config(other))
+        want = evaluate_reconstruction(model, val, model.adaptive_mode())
+        (setting, _, _, _, mean_count, _) = report.read_text().splitlines()[1].split(",")
+        assert setting == "adaptive"
+        assert float(mean_count) == want.mean_count > 1.0
 
     def test_ablate_diversity_two_rows(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dynavq.codebook import Codebook, init_codebook
-from dynavq.quantizer import QuantizeMode, quantize, select_head
+from dynavq.quantizer import QuantizeMode, quantize, quantize_chunk, select_head
 
 
 def stable_head(sims, cap):
@@ -67,17 +67,12 @@ def test_quantize_selects_stable_argsort_head(case):
 
 
 def test_pool_changes_no_output():
-    """The kept set is the top-n of all codes, so widening the pool from
-    the cap to the whole sub-codebook changes nothing."""
+    """quantize_chunk keeps the top-n of all codes, so widening its pool
+    from n to the whole sub-codebook changes nothing."""
     rng = np.random.default_rng(4)
-    z = rng.normal(size=(40, 8))
-    ratios = rng.uniform(0.01, 0.99, size=40)
-    cb = init_codebook(2, 32, 4, seed=6)
-    a, b = (
-        quantize(z, cb.copy(), ratios, QuantizeMode.adaptive(8), pool=pool)
-        for pool in (8, 32)
-    )
-    assert a.quantized.tobytes() == b.quantized.tobytes()
-    assert a.alloc.indices.tobytes() == b.alloc.indices.tobytes()
-    assert a.alloc.weights.tobytes() == b.alloc.weights.tobytes()
-    assert a.usage_delta.tobytes() == b.usage_delta.tobytes()
+    sub_cb = init_codebook(1, 32, 4, seed=6).entries[0]
+    for row in rng.normal(size=(40, 4)):
+        for n in (1, 3, 8):
+            a, b = (quantize_chunk(row, sub_cb, n=n, pool=pool) for pool in (n, 32))
+            for x, y in zip(a, b):
+                assert x.tobytes() == y.tobytes()

@@ -36,7 +36,9 @@ def tiny_model(seed=0, subs=2, prims=8, dim=2, patch=4, hidden=8, top_k=4):
         decoder=init_decoder(patch, hidden, embed, seed + 3),
         patch_size=patch,
         top_k=top_k,
-        pool=top_k,
+        temperature=1.0,
+        beta=0.25,
+        weighting="softmax",
     )
 
 

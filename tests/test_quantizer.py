@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,6 @@ from dynavq.numerics import grad_check
 from dynavq.quantizer import (
     PASS_SIMS,
     QuantizeMode,
-    chunk_embeddings,
     commitment_loss,
     quantize,
     quantize_backward,
@@ -22,28 +19,6 @@ from oracle_helpers import oracle_quantize_chunk
 def make_codebook(entries):
     arr = np.asarray(entries, dtype=np.float64)
     return Codebook(arr, np.zeros(arr.shape[:2], dtype=np.uint64))
-
-
-class TestChunking:
-    def test_widths(self):
-        z = np.arange(16, dtype=np.float64).reshape(2, 8)
-        chunks = chunk_embeddings(z, 4)
-        assert len(chunks) == 4
-        assert all(c.shape == (2, 2) for c in chunks)
-
-    def test_identity(self):
-        z = np.random.default_rng(0).normal(size=(3, 6))
-        (chunk,) = chunk_embeddings(z, 1)
-        assert np.array_equal(chunk, z)
-
-    def test_roundtrip_exact(self):
-        z = np.random.default_rng(1).normal(size=(5, 12))
-        chunks = chunk_embeddings(z, 3)
-        assert np.array_equal(np.concatenate(chunks, axis=1), z)
-
-    def test_indivisible(self):
-        with pytest.raises(ValueError, match="divisible"):
-            chunk_embeddings(np.zeros((2, 7)), 2)
 
 
 class TestQuantizeChunk:
@@ -186,29 +161,6 @@ class TestQuantize:
         cb = init_codebook(2, 4, 2, seed=0)
         with pytest.raises(ValueError, match="ratios"):
             quantize(np.zeros((3, 4)), cb, None, QuantizeMode.adaptive(2))
-
-    def test_csv_export_roundtrip(self, tmp_path):
-        cb = init_codebook(2, 8, 2, seed=4)
-        rng = np.random.default_rng(8)
-        z = rng.normal(size=(4, 4))
-        ratios = rng.uniform(0.2, 0.9, size=4)
-        out = quantize(z, cb, ratios, QuantizeMode.adaptive(4))
-        path = tmp_path / "alloc.csv"
-        out.alloc.to_csv(path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0][:3] == ["patch_index", "ratio", "count"]
-        assert len(rows) == 1 + 4
-        for i, row in enumerate(rows[1:]):
-            assert int(row[0]) == i
-            assert float(row[1]) == ratios[i]
-            assert int(row[2]) == out.alloc.counts[i]
-            pairs = row[3].split(" ")
-            assert len(pairs) == out.alloc.counts[i]
-            idx0, w0 = pairs[0].split(":")
-            exp_idx, exp_w = out.alloc.patch_selection(0, i)
-            assert int(idx0) == exp_idx[0]
-            assert float(w0) == exp_w[0]
 
 
 class TestQuantizeBackward:

@@ -43,7 +43,6 @@ RESUME_MISMATCHES = [
     ({"seed": 2}, "seed"),
     ({"patch_size": 2}, "patch_size"),
     ({"top_k": 4}, "top_k"),
-    ({"pool": 12}, "pool"),
     ({"temperature": 0.5}, "temperature"),
     ({"beta": 0.5}, "beta"),
     ({"weighting": "linear"}, "weighting"),
