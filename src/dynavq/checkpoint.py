@@ -12,13 +12,14 @@ SETTINGS. Format 1 has no digest and one more meta entry, the inert
 ``pool``, which is read and dropped; format 1 files still load.
 
 A save writes a temporary file in the target's directory and renames it
-into place, so the target is never left half written. Loading a
-truncated, corrupted or malformed file raises CheckpointError naming the
-path.
+into place, so the target is never left half written; a failed write or
+rename removes the temporary file. Loading a truncated, corrupted or
+malformed file raises CheckpointError naming the path.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import os
@@ -168,8 +169,13 @@ def save_checkpoint(path, data: CheckpointData) -> None:
     blob += hashlib.sha256(blob).digest()
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(blob)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 def load_checkpoint(path) -> CheckpointData:

@@ -88,12 +88,23 @@ def _load_config_arg(path: Optional[str]) -> TrainConfig:
     return parse_config(path)
 
 
-def _eval_mode(model: Model, name: str) -> QuantizeMode:
-    if name == "adaptive":
-        return model.adaptive_mode()
-    if name == "top1":
-        return QuantizeMode.top1()
-    return QuantizeMode.fixed_top_n(int(name))
+def _forced_counts(text: str, model: Model) -> List[int]:
+    """The comma-separated ``--forced-n`` counts, each an integer in
+    [1, primitives_per_sub]; errors name the flag and the value."""
+    limit = model.codebook.primitives_per_sub
+    counts = []
+    for entry in filter(None, (s.strip() for s in text.split(","))):
+        try:
+            count = int(entry)
+        except ValueError:
+            raise ValueError(f"--forced-n: {entry!r} is not an integer count") from None
+        if not 1 <= count <= limit:
+            raise ValueError(
+                f"--forced-n: count {count} must lie in [1, {limit}] "
+                "(the checkpoint's primitives per sub-codebook)"
+            )
+        counts.append(count)
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -114,14 +125,15 @@ def _cmd_eval(args) -> int:
 
     config = _load_config_arg(args.config)
     data = load_checkpoint(args.checkpoint)
+    settings = [
+        (str(n), QuantizeMode.fixed_top_n(n))
+        for n in _forced_counts(args.forced_n, data.model)
+    ]
+    settings.append(("adaptive", data.model.adaptive_mode()))
     _, val = build_datasets(config)
-    settings: List[str] = []
-    if args.forced_n:
-        settings = [s.strip() for s in args.forced_n.split(",") if s.strip()]
-    settings.append("adaptive")
     rows = []
-    for name in settings:
-        stats = evaluate_reconstruction(data.model, val, _eval_mode(data.model, name))
+    for name, mode in settings:
+        stats = evaluate_reconstruction(data.model, val, mode)
         rows.append({
             "setting": name,
             "mean_mse": stats.mean_mse,
@@ -158,6 +170,8 @@ def _cmd_heatmap(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     results = run_suite(seeds=args.seeds)
     width = max(len(r.name) for r in results)
     failures = 0

@@ -34,7 +34,15 @@ class PgmError(ValueError):
         self.offset = offset
 
 
-@dataclass
+class ManifestError(ValueError):
+    """Malformed manifest line; names the manifest and the 1-based line."""
+
+    def __init__(self, path, lineno: int, message: str):
+        super().__init__(f"manifest {path} line {lineno}: {message}")
+        self.lineno = lineno
+
+
+@dataclass(frozen=True)
 class LabeledImage:
     """Grayscale image in [0, 1] with one complexity label per patch."""
 
@@ -258,11 +266,17 @@ def load_manifest(manifest_path) -> Dataset:
     path = Path(manifest_path)
     base = path.parent
     items = []
-    for line in path.read_text().splitlines():
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
-        img_rel, lbl_rel = line.split(",")
+        fields = line.split(",")
+        if len(fields) != 2:
+            raise ManifestError(
+                path, lineno,
+                f"expected 'image_path,label_csv_path', got {len(fields)} fields",
+            )
+        img_rel, lbl_rel = fields
         image = load_raster(base / img_rel)
         labels = np.loadtxt(base / lbl_rel, dtype=np.int64, delimiter=",", ndmin=2)
         items.append(LabeledImage(image=image, patch_labels=labels))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, get_type_hints
 
@@ -242,18 +243,48 @@ def init_state(config: TrainConfig) -> TrainState:
 
 
 def build_datasets(config: TrainConfig) -> Tuple[Dataset, Dataset]:
-    """Train/val datasets from the config's data recipe (deterministic)."""
+    """Train/val datasets from the config's data recipe (deterministic).
+
+    A synthetic recipe is generated once per process: its image and label
+    arrays are read-only and shared by every call, and each call gets new
+    Dataset objects with their own item lists. A manifest is read on every
+    call, since its files can change.
+    """
     if config.data_source == "synthetic":
-        ds = gen_synthetic(
-            config.n_images,
-            config.image_size,
-            config.patch_size,
-            config.mix,
-            derive_seed(config.seed, "data"),
+        # repr is the text Dataset.recipe records
+        mix_text = tuple(repr(float(f)) for f in config.mix)
+        ds = _synthetic(
+            config.n_images, config.image_size, config.patch_size, mix_text,
+            config.seed,
         )
     else:
         ds = load_manifest(config.data_source)
     return split(ds, config.train_frac, derive_seed(config.seed, "data", "split"))
+
+
+@lru_cache(maxsize=1, typed=True)
+def _synthetic(
+    n_images: int,
+    image_size: int,
+    patch_size: int,
+    mix_text: Tuple[str, ...],
+    seed: int,
+) -> Dataset:
+    """The most recent synthetic recipe, with read-only arrays.
+
+    Keyed with argument types and the mix as text, so inputs that compare
+    equal but print differently (1 and True, 0.0 and -0.0) each keep their
+    own recipe text. Calls gen_synthetic through this module's global,
+    which a tracer may wrap.
+    """
+    ds = gen_synthetic(
+        n_images, image_size, patch_size, [float(f) for f in mix_text],
+        derive_seed(seed, "data"),
+    )
+    for item in ds.items:
+        item.image.flags.writeable = False
+        item.patch_labels.flags.writeable = False
+    return ds
 
 
 def _batch_images(

@@ -120,6 +120,21 @@ class TestRoundTrip:
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(path, make_data())
         assert path.read_bytes() == old
+        assert sorted(tmp_path.iterdir()) == [path]
+
+    def test_a_failed_rename_removes_the_temporary_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, CheckpointData(model=make_model()))
+        old = path.read_bytes()
+
+        def refuse(src, dst):
+            raise PermissionError("read-only directory")
+
+        monkeypatch.setattr("dynavq.checkpoint.os.replace", refuse)
+        with pytest.raises(PermissionError, match="read-only directory"):
+            save_checkpoint(path, make_data())
+        assert path.read_bytes() == old
+        assert sorted(tmp_path.iterdir()) == [path]
 
     def test_save_is_deterministic(self, tmp_path):
         model = make_model()

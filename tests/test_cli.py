@@ -151,6 +151,49 @@ class TestRunCommand:
         assert status == 0
         assert "gradient checks passed" in captured.out
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_gradcheck_rejects_fewer_than_one_seed(self, capsys, value):
+        status = run_command(["gradcheck", "--seeds", value])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert f"--seeds must be at least 1, got {value}" in captured.err
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("abc", "--forced-n: 'abc' is not an integer count"),
+            ("1,2.5", "--forced-n: '2.5' is not an integer count"),
+            ("0", "--forced-n: count 0 must lie in [1, 16]"),
+            ("10,17", "--forced-n: count 17 must lie in [1, 16]"),
+        ],
+        ids=["word", "fraction", "zero", "above-codebook"],
+    )
+    def test_eval_names_a_bad_forced_count(self, tmp_path, capsys, value, message):
+        cfg = write_config(
+            tmp_path,
+            metrics_path=tmp_path / "metrics.csv",
+            checkpoint_path=tmp_path / "model.ckpt",
+        )
+        assert run_command(["train", "--config", str(cfg)]) == 0
+        status = run_command([
+            "eval", "--checkpoint", str(tmp_path / "model.ckpt"),
+            "--config", str(cfg), "--out", str(tmp_path / "report.csv"),
+            "--forced-n", value,
+        ])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert message in captured.err
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_a_malformed_manifest_names_file_and_line(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("a.pgm,a.csv,b.csv\n")
+        cfg = write_config(tmp_path, data_source=manifest)
+        status = run_command(["train", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert f"manifest {manifest} line 1: " in captured.err
+
     def test_reconstruct_missing_checkpoint(self, tmp_path, capsys):
         img_path = tmp_path / "in.pgm"
         save_raster(np.zeros((16, 16)), img_path)

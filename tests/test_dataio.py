@@ -3,6 +3,7 @@ import pytest
 
 from dynavq.dataio import (
     Dataset,
+    ManifestError,
     PgmError,
     export_dataset,
     gen_synthetic,
@@ -201,3 +202,18 @@ class TestManifest:
         path.write_text("\n")
         with pytest.raises(ValueError, match="no items"):
             load_manifest(path)
+
+    @pytest.mark.parametrize(
+        "line, fields", [("item_0000.pgm", 1), ("a.pgm,a.csv,extra.csv", 3)],
+        ids=["one-field", "three-fields"],
+    )
+    def test_malformed_line_names_file_and_line(self, tmp_path, line, fields):
+        ds = gen_synthetic(2, 8, 4, (0.25, 0.25, 0.25, 0.25), seed=9)
+        manifest = export_dataset(ds, tmp_path / "data")
+        good = manifest.read_text().splitlines()
+        manifest.write_text("\n".join([good[0], "", line, good[1]]) + "\n")
+        with pytest.raises(ManifestError, match=f"got {fields} fields") as info:
+            load_manifest(manifest)
+        assert str(manifest) in str(info.value)
+        assert "line 3:" in str(info.value)
+        assert info.value.lineno == 3

@@ -1,7 +1,12 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
+from dynavq import trainer
 from dynavq.checkpoint import load_checkpoint
+from dynavq.dataio import export_dataset, gen_synthetic
 from dynavq.trainer import (
     METRICS_HEADER,
     TrainConfig,
@@ -244,3 +249,105 @@ class TestRunTraining:
         first = np.mean(rec[:6])
         last = np.mean(rec[-6:])
         assert last < first
+
+
+def dataset_digest(ds) -> str:
+    h = hashlib.sha256(ds.recipe.encode())
+    for item in ds.items:
+        h.update(item.image.tobytes())
+        h.update(item.patch_labels.tobytes())
+    return h.hexdigest()
+
+
+class TestDatasetCache:
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        trainer._synthetic.cache_clear()
+        yield
+        trainer._synthetic.cache_clear()
+
+    @pytest.fixture
+    def generations(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return gen_synthetic(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "gen_synthetic", counting)
+        return calls
+
+    def test_a_recipe_is_generated_once(self, tmp_path, generations):
+        first = build_datasets(small_config(tmp_path))
+        second = build_datasets(small_config(tmp_path))
+        assert len(generations) == 1
+        for a, b in zip(first, second):
+            assert a is not b
+            assert dataset_digest(a) == dataset_digest(b)
+            assert a.seed == b.seed
+
+    def test_cached_arrays_are_read_only(self, tmp_path):
+        train, val = build_datasets(small_config(tmp_path))
+        for item in (train.items[0], val.items[0]):
+            with pytest.raises(ValueError, match="read-only"):
+                item.image[0, 0] = 0.5
+            with pytest.raises(ValueError, match="read-only"):
+                item.patch_labels[0, 0] = 1
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                item.image = np.zeros((16, 16))
+
+    def test_each_call_gets_its_own_items(self, tmp_path):
+        config = small_config(tmp_path)
+        train, val = build_datasets(config)
+        want = [dataset_digest(ds) for ds in (train, val)]
+        train.items.append(val.items[0])
+        val.items.clear()
+        assert [dataset_digest(ds) for ds in build_datasets(config)] == want
+
+    @pytest.mark.parametrize(
+        "overrides, generated",
+        [
+            ({"seed": 2}, 2),
+            # the split is taken per call from the cached images
+            ({"train_frac": 0.5}, 1),
+            ({"mix_flat": 0.4, "mix_smooth": 0.2, "mix_texture": 0.2,
+              "mix_noise": 0.2}, 2),
+        ],
+        ids=["seed", "train_frac", "mix"],
+    )
+    def test_a_changed_recipe_gives_new_data(
+        self, tmp_path, generations, overrides, generated
+    ):
+        before = build_datasets(small_config(tmp_path))
+        after = build_datasets(small_config(tmp_path, **overrides))
+        assert len(generations) == generated
+        assert dataset_digest(after[0]) != dataset_digest(before[0])
+        again = build_datasets(small_config(tmp_path))
+        assert [dataset_digest(ds) for ds in again] == [
+            dataset_digest(ds) for ds in before
+        ]
+
+    def test_a_signed_zero_keeps_its_recipe_text(self, tmp_path):
+        mix = {"mix_smooth": 0.5, "mix_texture": 0.25, "mix_noise": 0.25}
+        plus = small_config(tmp_path, mix_flat=0.0, **mix)
+        minus = small_config(tmp_path, mix_flat=-0.0, **mix)
+        # equal as floats and hashes, different as recipe text
+        assert plus.mix == minus.mix and hash(plus.mix) == hash(minus.mix)
+        for config, text in ((plus, "mix=[0.0,"), (minus, "mix=[-0.0,"),
+                             (plus, "mix=[0.0,")):
+            train, val = build_datasets(config)
+            assert text in train.recipe and text in val.recipe
+
+    def test_an_edited_manifest_is_read_again(self, tmp_path, generations):
+        data = tmp_path / "data"
+        manifest = export_dataset(gen_synthetic(8, 16, 4, (0, 0, 0, 1), seed=0), data)
+        config = small_config(tmp_path, data_source=str(manifest))
+        before = build_datasets(config)
+        export_dataset(gen_synthetic(8, 16, 4, (0, 0, 0, 1), seed=1), data)
+        after = build_datasets(config)
+        assert generations == []
+        for a, b in zip(before, after):
+            assert len(a) == len(b)
+            assert all(
+                not np.array_equal(x.image, y.image) for x, y in zip(a.items, b.items)
+            )
