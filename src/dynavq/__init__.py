@@ -19,7 +19,6 @@ from dynavq.allocator import (
 )
 from dynavq.autoencoder import (
     MlpParams,
-    decode,
     encode,
     init_decoder,
     init_encoder,
@@ -40,7 +39,6 @@ from dynavq.metrics import (
     allocation_heatmap,
     centroid_similarity_matrix,
     codebook_perplexity,
-    complexity_correlation,
     evaluate_reconstruction,
     psnr,
     rate_distortion,
@@ -83,10 +81,8 @@ __all__ = [
     "centroids",
     "codebook_perplexity",
     "commitment_loss",
-    "complexity_correlation",
     "cosine_similarity_matrix",
     "count_from_ratio",
-    "decode",
     "diversity_loss",
     "dpa_loss",
     "encode",

@@ -136,15 +136,6 @@ def encode(patches: Array, params: MlpParams) -> Tuple[Array, MlpCache]:
     return mlp_forward(patches, params)
 
 
-def decode(
-    embeddings: Array, params: MlpParams, height: int, width: int, patch: int
-) -> Tuple[Array, MlpCache]:
-    """Embedding matrix -> image. Output is NOT clamped; clamping to
-    [0, 1] happens only when an image is exported."""
-    flat, cache = mlp_forward(embeddings, params)
-    return unpatchify(flat, height, width, patch), cache
-
-
 def reconstruction_loss(
     image: Array, recon: Array, row_weights: Array | None = None
 ) -> Tuple[float, Array]:

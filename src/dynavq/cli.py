@@ -45,7 +45,10 @@ def parse_config(path) -> TrainConfig:
     """
     types = get_type_hints(TrainConfig)
     values: Dict[str, object] = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config {path}: not UTF-8 text ({err})") from err
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:

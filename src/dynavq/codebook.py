@@ -51,10 +51,6 @@ class Codebook:
     def embed_dim(self) -> int:
         return self.subcodebooks * self.primitive_dim
 
-    @property
-    def total_primitives(self) -> int:
-        return self.subcodebooks * self.primitives_per_sub
-
     def copy(self) -> "Codebook":
         return Codebook(self.entries.copy(), self.usage_counts.copy())
 

@@ -203,7 +203,8 @@ def load_raster(path) -> Array:
     """Parse a binary PGM (P5) file into a [0, 1] float image.
 
     Sample values are divided by the header's maxval; maxval above 255
-    means two-byte big-endian samples per the netpbm convention.
+    means two-byte big-endian samples per the netpbm convention. A sample
+    above maxval raises PgmError at its byte offset.
     """
     data = Path(path).read_bytes()
     if data[:2] != b"P5":
@@ -232,8 +233,15 @@ def load_raster(path) -> Array:
             pos + len(raster),
         )
     dtype = np.uint8 if sample_bytes == 1 else np.dtype(">u2")
-    values = np.frombuffer(raster, dtype=dtype).astype(np.float64)
-    return (values / maxval).reshape(height, width)
+    samples = np.frombuffer(raster, dtype=dtype)
+    over = np.flatnonzero(samples > maxval)
+    if over.size:
+        first = int(over[0])
+        raise PgmError(
+            f"sample {samples[first]} exceeds maxval {maxval}",
+            pos + first * sample_bytes,
+        )
+    return (samples.astype(np.float64) / maxval).reshape(height, width)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +270,11 @@ def export_dataset(ds: Dataset, directory) -> Path:
 
 
 def load_manifest(manifest_path) -> Dataset:
-    """Load a dataset written by export_dataset."""
+    """Load a dataset written by export_dataset.
+
+    Each label grid must tile its image into square patches, one label in
+    [0, len(LABEL_NAMES)) per patch.
+    """
     path = Path(manifest_path)
     base = path.parent
     items = []
@@ -279,6 +291,19 @@ def load_manifest(manifest_path) -> Dataset:
         img_rel, lbl_rel = fields
         image = load_raster(base / img_rel)
         labels = np.loadtxt(base / lbl_rel, dtype=np.int64, delimiter=",", ndmin=2)
+        (h, w), (gh, gw) = image.shape, labels.shape
+        if min(gh, gw) < 1 or h % gh or w % gw or h // gh != w // gw:
+            raise ManifestError(
+                path, lineno,
+                f"a {gh}x{gw} label grid does not tile the {h}x{w} image "
+                "into square patches",
+            )
+        bad = labels[(labels < 0) | (labels >= len(LABEL_NAMES))]
+        if bad.size:
+            raise ManifestError(
+                path, lineno,
+                f"label {bad[0]} is not in [0, {len(LABEL_NAMES)})",
+            )
         items.append(LabeledImage(image=image, patch_labels=labels))
     if not items:
         raise ValueError(f"manifest {path} lists no items")

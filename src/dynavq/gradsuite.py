@@ -10,6 +10,7 @@ constant by the backward pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import List
 
 import numpy as np
@@ -31,6 +32,7 @@ from dynavq.autoencoder import (
 from dynavq.codebook import Codebook, diversity_loss
 from dynavq.numerics import GradReport, grad_check
 from dynavq.quantizer import (
+    WEIGHTINGS,
     QuantizeMode,
     commitment_loss,
     quantize,
@@ -155,12 +157,6 @@ def check_quantizer(
     return grad_check(f_joint, g_joint, point, eps=eps, rel_tol=rel_tol)
 
 
-def check_quantizer_linear(
-    seed: int, eps=DEFAULT_EPS, rel_tol=DEFAULT_REL_TOL
-) -> GradReport:
-    return check_quantizer(seed, eps, rel_tol, weighting="linear")
-
-
 def _check_mlp(params: MlpParams, rows: int, seed: int, eps, rel_tol) -> GradReport:
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(rows, params.in_dim))
@@ -233,8 +229,8 @@ CHECKS: List[tuple] = [
     ("diversity_loss", check_diversity),
     ("dpa_loss", check_dpa_loss),
     ("allocator", check_allocator),
-    ("quantizer_weighted_sum", check_quantizer),
-    ("quantizer_linear", check_quantizer_linear),
+    *((f"quantizer_{name}", partial(check_quantizer, weighting=name))
+      for name in WEIGHTINGS),
     ("encoder", check_encoder),
     ("decoder", check_decoder),
     ("reconstruction_loss", check_reconstruction),

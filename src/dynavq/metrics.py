@@ -173,11 +173,6 @@ def spearman(a: Array, b: Array) -> float:
     return float((da * db).sum() / np.sqrt((da * da).sum() * (db * db).sum()))
 
 
-def complexity_correlation(counts: Array, labels: Array) -> float:
-    """Spearman correlation between allocation counts and patch labels."""
-    return spearman(counts, labels)
-
-
 def centroid_similarity_matrix(cb: Codebook, path=None) -> np.ndarray:
     """Pairwise cosine similarities between sub-codebook centroids.
 

@@ -51,7 +51,7 @@ def check_settings(settings, primitives_per_sub: int) -> None:
         raise ValueError(f"beta must be finite and non-negative, got {settings.beta}")
     if settings.weighting not in WEIGHTINGS:
         raise ValueError(
-            f"weighting must be one of {WEIGHTINGS}, got {settings.weighting!r}"
+            f"weighting must be one of {tuple(WEIGHTINGS)}, got {settings.weighting!r}"
         )
 
 

@@ -3,10 +3,10 @@
 Embeddings are split column-wise into one chunk per sub-codebook. Each
 chunk row is scored by cosine similarity against all primitives of its
 sub-codebook, the top ``n`` of them are kept (ties broken by ascending
-index), and the output is their softmax-weighted sum. ``n`` is 1 in
-warm-up/top-1 mode, a constant in fixed mode, and allocator-driven in
-adaptive mode. One call quantizes every row it is given, so a training
-step quantizes all patches of its batch at once.
+index), and the output is their sum, weighted by one of the WEIGHTINGS.
+``n`` is a constant in fixed mode (1 in warm-up/top-1) and
+allocator-driven in adaptive mode. One call quantizes every row it is
+given, so a training step quantizes all patches of its batch at once.
 
 A call takes the sub-codebooks in groups of
 ``max(1, PASS_SIMS // (rows * codes))`` and scores each group in one pass:
@@ -31,15 +31,12 @@ its selection counts as ``usage_delta``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from dynavq.codebook import Codebook
 from dynavq.numerics import DEFAULT_NORM_EPS, Array, check_finite
-
-#: How the kept primitives of a row are weighted.
-WEIGHTINGS = ("softmax", "linear")
 
 #: Linear weight normalization falls back to uniform weights when the
 #: selected similarities sum to (almost) zero.
@@ -57,13 +54,17 @@ LINEAR_DENOM_EPS = 1e-12
 #: keep one sub-codebook per pass.
 PASS_SIMS = 32768
 
+#: ``weight_grad(weights, centred)``: dL/d head_sims from the weights and
+#: the centred weight gradient ``d_w - sum(w * d_w)`` of each row.
+WeightGrad = Callable[[Array, Array], Array]
+
 
 @dataclass(frozen=True)
 class QuantizeMode:
     """How many primitives each patch receives.
 
-    kind "top1": single nearest primitive everywhere (warm-up behaviour).
-    kind "fixed": a constant ``amount`` primitives per patch.
+    kind "fixed": a constant ``amount`` primitives per patch; top-1 (the
+    warm-up behaviour) is fixed at 1.
     kind "adaptive": per-patch counts derived from the allocation ratios,
     capped at ``amount``.
     """
@@ -72,14 +73,14 @@ class QuantizeMode:
     amount: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("top1", "fixed", "adaptive"):
+        if self.kind not in ("fixed", "adaptive"):
             raise ValueError(f"unknown quantize mode {self.kind!r}")
         if self.amount < 1:
             raise ValueError("mode amount must be at least 1")
 
     @classmethod
     def top1(cls) -> "QuantizeMode":
-        return cls("top1", 1)
+        return cls("fixed", 1)
 
     @classmethod
     def fixed_top_n(cls, n: int) -> "QuantizeMode":
@@ -109,11 +110,6 @@ class AllocationMap:
     def patches(self) -> int:
         return self.counts.shape[0]
 
-    def patch_selection(self, sub: int, patch: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Indices and weights actually used for one patch and sub-codebook."""
-        n = int(self.counts[patch])
-        return self.indices[sub, patch, :n], self.weights[sub, patch, :n]
-
 
 @dataclass
 class ChunkCache:
@@ -124,13 +120,10 @@ class ChunkCache:
     held: the selected code indices, their similarities and their weights
     (0.0 beyond each row's count) and the mask ``keep`` of each row's
     count, next to the input rows (G, rows, width), the sub-codebooks
-    (G, codes, width) and the clamped norms. The
-    weighting, temperature and norm clamp of the forward pass travel with
-    it, so the backward pass differentiates exactly the function the
-    forward pass computed. Linear weighting also keeps the mask ``safe`` of
-    rows whose sum of kept similarities cleared LINEAR_DENOM_EPS and that
-    sum ``denom`` (1.0 on the other rows, which took uniform weights that
-    do not depend on the similarities).
+    (G, codes, width) and the clamped norms. The norm clamp and the
+    weighting's ``weight_grad`` of the forward pass travel with it, so the
+    backward pass differentiates exactly the function the forward pass
+    computed.
     """
 
     rows: np.ndarray
@@ -141,11 +134,8 @@ class ChunkCache:
     head_sims: np.ndarray
     weights: np.ndarray
     keep: np.ndarray
-    temperature: float
     eps: float
-    weighting: str
-    denom: Optional[np.ndarray]
-    safe: Optional[np.ndarray]
+    weight_grad: WeightGrad
 
     @property
     def sims(self) -> np.ndarray:
@@ -226,29 +216,37 @@ def select_head(sims: Array, cap: int) -> Array:
     return head
 
 
-def _head_weights(
-    head_sims: Array, keep: Array, temperature: float, weighting: str
-) -> Tuple[Array, Optional[Array], Optional[Array]]:
-    """Weights over each row's head (along the last axis), 0.0 beyond its
-    count.
+def _softmax(head_sims: Array, keep: Array, temperature: float) -> Tuple[Array, WeightGrad]:
+    """Softmax of the kept similarities at ``temperature``."""
+    # heads are sorted, so column 0 holds each row's largest similarity
+    scaled = head_sims / temperature
+    expd = np.where(keep, np.exp(scaled - scaled[..., :1]), 0.0)
+    return expd / expd.sum(axis=-1, keepdims=True), (
+        lambda w, centred: w * centred / temperature
+    )
 
-    Returns the weights plus, for linear weighting, the denominators with
-    a trailing axis of 1 (1.0 where uniform weights were used) and the mask
-    of rows that did not fall back to uniform weights (None for softmax).
-    """
-    if weighting == "softmax":
-        # heads are sorted, so column 0 holds each row's largest similarity
-        scaled = head_sims / temperature
-        expd = np.where(keep, np.exp(scaled - scaled[..., :1]), 0.0)
-        return expd / expd.sum(axis=-1, keepdims=True), None, None
-    if weighting == "linear":
-        picked = np.where(keep, head_sims, 0.0)
-        denom = picked.sum(axis=-1, keepdims=True)
-        uniform = keep / keep.sum(axis=-1, keepdims=True)
-        safe = np.abs(denom) > LINEAR_DENOM_EPS
-        denom = np.where(safe, denom, 1.0)
-        return np.where(safe, picked / denom, uniform), denom, safe
-    raise ValueError(f"unknown weighting {weighting!r}")
+
+def _linear(head_sims: Array, keep: Array, temperature: float) -> Tuple[Array, WeightGrad]:
+    """Kept similarities over their sum; uniform weights, which do not
+    depend on the similarities, where that sum is within LINEAR_DENOM_EPS
+    of zero. ``temperature`` is unused."""
+    picked = np.where(keep, head_sims, 0.0)
+    denom = picked.sum(axis=-1, keepdims=True)
+    uniform = keep / keep.sum(axis=-1, keepdims=True)
+    safe = np.abs(denom) > LINEAR_DENOM_EPS
+    denom = np.where(safe, denom, 1.0)
+    return np.where(safe, picked / denom, uniform), (
+        lambda w, centred: np.where(keep & safe, centred / denom, 0.0)
+    )
+
+
+#: How the kept primitives of a row are weighted: each maps (head_sims,
+#: keep, temperature) to the weights over each row's head (along the last
+#: axis, 0.0 beyond its count) and their WeightGrad.
+WEIGHTINGS: Dict[str, Callable[[Array, Array, float], Tuple[Array, WeightGrad]]] = {
+    "softmax": _softmax,
+    "linear": _linear,
+}
 
 
 def _scatter(flat: Array, values: Array, num_codes: int) -> Array:
@@ -281,6 +279,9 @@ def _quantize_group(
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
+    weigh = WEIGHTINGS.get(weighting)
+    if weigh is None:
+        raise ValueError(f"unknown weighting {weighting!r}")
     groups, num_rows, cap = keep.shape
     num_codes = codes.shape[1]
     sims = _cosine(rows, codes, row_norms, code_norms).reshape(-1, num_codes)
@@ -288,7 +289,7 @@ def _quantize_group(
     flat = _flat_index(head, num_codes)
     head_sims = np.take(sims, flat)
     del sims
-    weights, denom, safe = _head_weights(head_sims, keep, temperature, weighting)
+    weights, weight_grad = weigh(head_sims, keep, temperature)
     cache = ChunkCache(
         rows=rows,
         codes=codes,
@@ -298,11 +299,8 @@ def _quantize_group(
         head_sims=head_sims,
         weights=weights,
         keep=keep,
-        temperature=temperature,
         eps=eps,
-        weighting=weighting,
-        denom=denom,
-        safe=safe,
+        weight_grad=weight_grad,
     )
     if cap == 1:
         picked = codes.reshape(-1, codes.shape[2])[cache.code_index()[..., 0]]
@@ -355,8 +353,8 @@ def quantize(
     """Quantize a full embedding matrix.
 
     Rows may come from any number of images: one call covers them all.
-    Per-patch counts are 1 (top1 mode), ``mode.amount`` (fixed mode), or
-    derived from ``ratios`` (adaptive mode, capped at ``mode.amount``).
+    Per-patch counts are ``mode.amount`` (fixed mode) or derived from
+    ``ratios`` (adaptive mode, capped at ``mode.amount``).
     ``cb`` is left untouched; ``usage_delta`` counts each primitive's
     selections.
     """
@@ -370,28 +368,20 @@ def quantize(
     num_codes = cb.primitives_per_sub
     patches = z.shape[0]
 
-    if mode.kind == "top1":
-        counts = np.ones(patches, dtype=np.int64)
-        cap = 1
-    elif mode.kind == "fixed":
-        if mode.amount > num_codes:
-            raise ValueError(
-                f"fixed count {mode.amount} exceeds sub-codebook size {num_codes}"
-            )
-        counts = np.full(patches, mode.amount, dtype=np.int64)
-        cap = mode.amount
+    cap = mode.amount
+    if cap > num_codes:
+        raise ValueError(
+            f"{mode.kind} count {cap} exceeds sub-codebook size {num_codes}"
+        )
+    if mode.kind == "fixed":
+        counts = np.full(patches, cap, dtype=np.int64)
     else:
-        if mode.amount > num_codes:
-            raise ValueError(
-                f"adaptive cap {mode.amount} exceeds sub-codebook size {num_codes}"
-            )
         if ratios is None:
             raise ValueError("adaptive mode requires allocation ratios")
         r = np.asarray(ratios, dtype=np.float64)
         if r.shape != (patches,):
             raise ValueError("ratio vector length must match the patch count")
-        counts = count_from_ratio(r, mode.amount)
-        cap = mode.amount
+        counts = count_from_ratio(r, cap)
 
     subs = cb.subcodebooks
     # (rows x subs x width) views; sub-codebook j is [:, j]
@@ -452,11 +442,11 @@ def quantize_backward(
     """Exact gradients through the weighted sum, selection held fixed.
 
     Given dL/d(quantized), returns (dL/d entries, dL/d embeddings) flowing
-    through both the primitive values and the softmax or linear weights
-    (whose similarities depend on the inputs and the primitives), with the
-    weighting, temperature and norm clamp the forward pass used. Only the selected
-    head enters the arithmetic; weighted sums over it run as matmuls
-    against the head scattered into a dense (rows x codes) matrix.
+    through both the primitive values and the weights (whose similarities
+    depend on the inputs and the primitives), with the weighting and norm
+    clamp the forward pass used. Only the selected head enters the
+    arithmetic; weighted sums over it run as matmuls against the head
+    scattered into a dense (rows x codes) matrix.
     """
     g = np.asarray(grad_quantized, dtype=np.float64)
     num_codes = cb.primitives_per_sub
@@ -480,12 +470,7 @@ def quantize_backward(
         # path through the weights, backward on the head
         d_w = np.take(gj @ codes.swapaxes(1, 2), flat)
         row_dot = (w * d_w).sum(axis=-1, keepdims=True)
-        if cache.weighting == "linear":
-            # w = keep * sims / denom; uniform fallback rows are constant
-            live = cache.keep & cache.safe
-            d_sims = np.where(live, (d_w - row_dot) / cache.denom, 0.0)
-        else:
-            d_sims = w * (d_w - row_dot) / cache.temperature
+        d_sims = cache.weight_grad(w, d_w - row_dot)
         # cosine backward: sims = <z, c> / (|z| |c|) with clamped norms
         head_norms = np.take(nc, code_index)
         scale = _scatter(flat, d_sims / (nz * head_norms), num_codes)

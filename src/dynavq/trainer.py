@@ -248,7 +248,8 @@ def build_datasets(config: TrainConfig) -> Tuple[Dataset, Dataset]:
     A synthetic recipe is generated once per process: its image and label
     arrays are read-only and shared by every call, and each call gets new
     Dataset objects with their own item lists. A manifest is read on every
-    call, since its files can change.
+    call, since its files can change, and its patches must be
+    ``config.patch_size`` pixels wide.
     """
     if config.data_source == "synthetic":
         # repr is the text Dataset.recipe records
@@ -259,6 +260,13 @@ def build_datasets(config: TrainConfig) -> Tuple[Dataset, Dataset]:
         )
     else:
         ds = load_manifest(config.data_source)
+        for item in ds.items:
+            tile = item.image.shape[0] // item.patch_labels.shape[0]
+            if tile != config.patch_size:
+                raise ValueError(
+                    f"manifest {config.data_source} labels {tile}-pixel patches, "
+                    f"but patch_size is {config.patch_size}"
+                )
     return split(ds, config.train_frac, derive_seed(config.seed, "data", "split"))
 
 

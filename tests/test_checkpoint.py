@@ -206,3 +206,11 @@ class TestErrors:
 def test_model_rejects_bad_setting(key, value):
     with pytest.raises(ValueError, match=key):
         replace(make_model(), **{key: value})
+
+
+def test_bad_weighting_lists_the_table():
+    with pytest.raises(ValueError) as info:
+        replace(make_model(), weighting="ridge")
+    assert str(info.value) == (
+        "weighting must be one of ('softmax', 'linear'), got 'ridge'"
+    )

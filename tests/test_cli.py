@@ -194,6 +194,16 @@ class TestRunCommand:
         assert status == 1
         assert f"manifest {manifest} line 1: " in captured.err
 
+    def test_a_non_utf8_config_names_its_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"seed = 1\n\xff\xfe\n")
+        with pytest.raises(ConfigError, match="not UTF-8"):
+            parse_config(path)
+        status = run_command(["train", "--config", str(path)])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert f"error: config {path}: not UTF-8 text" in captured.err
+
     def test_reconstruct_missing_checkpoint(self, tmp_path, capsys):
         img_path = tmp_path / "in.pgm"
         save_raster(np.zeros((16, 16)), img_path)

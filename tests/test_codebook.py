@@ -25,7 +25,7 @@ class TestInit:
         assert cb.usage_counts.dtype == np.uint64
         assert np.all(cb.usage_counts == 0)
         assert cb.embed_dim == 16
-        assert cb.total_primitives == 256
+        assert cb.subcodebooks * cb.primitives_per_sub == 256
 
     def test_seed_determinism(self):
         a = init_codebook(3, 8, 2, seed=123)

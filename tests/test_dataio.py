@@ -153,6 +153,21 @@ class TestPgm:
         img = load_raster(path)
         assert np.allclose(img, [[0.5, 1.0]], atol=0)
 
+    @pytest.mark.parametrize(
+        "maxval, samples, width, offset",
+        [(100, bytes([50, 200]), 1, 12), (1000, b"\x00\x05\x03\xe9", 2, 14)],
+        ids=["one-byte", "two-byte"],
+    )
+    def test_sample_above_maxval_names_its_offset(
+        self, tmp_path, maxval, samples, width, offset
+    ):
+        path = tmp_path / "over.pgm"
+        path.write_bytes(f"P5\n2 1\n{maxval}\n".encode() + samples)
+        with pytest.raises(PgmError, match=f"exceeds maxval {maxval}") as err:
+            load_raster(path)
+        assert err.value.offset == offset
+        assert path.read_bytes()[offset:offset + width] == samples[width:]
+
     def test_comments_in_header(self, tmp_path):
         path = tmp_path / "c.pgm"
         path.write_bytes(b"P5\n# a comment\n2 2\n255\n" + bytes(4))
@@ -217,3 +232,24 @@ class TestManifest:
         assert str(manifest) in str(info.value)
         assert "line 3:" in str(info.value)
         assert info.value.lineno == 3
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (np.full((3, 5), 1), "a 3x5 label grid does not tile the 8x8 image"),
+            (np.full((3, 3), 1), "a 3x3 label grid does not tile the 8x8 image"),
+            (np.full((2, 4), 1), "a 2x4 label grid does not tile the 8x8 image"),
+            (np.full((2, 2), 7), "label 7 is not in \\[0, 4\\)"),
+            (np.array([[0, 1], [-1, 3]]), "label -1 is not in \\[0, 4\\)"),
+        ],
+        ids=["3x5", "3x3", "non-square", "label-7", "label-minus-1"],
+    )
+    def test_bad_label_grid_names_file_and_line(self, tmp_path, grid, message):
+        ds = gen_synthetic(2, 8, 4, (0.25, 0.25, 0.25, 0.25), seed=9)
+        manifest = export_dataset(ds, tmp_path / "data")
+        np.savetxt(manifest.parent / "item_0001_labels.csv", grid, fmt="%d",
+                   delimiter=",")
+        with pytest.raises(ManifestError, match=message) as info:
+            load_manifest(manifest)
+        assert str(manifest) in str(info.value)
+        assert info.value.lineno == 2

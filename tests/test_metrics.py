@@ -12,7 +12,6 @@ from dynavq.metrics import (
     allocation_heatmap,
     centroid_similarity_matrix,
     codebook_perplexity,
-    complexity_correlation,
     evaluate_reconstruction,
     psnr,
     rate_distortion,
@@ -155,26 +154,26 @@ class TestHeatmap:
 
 class TestSpearman:
     def test_increasing(self):
-        assert complexity_correlation(
+        assert spearman(
             np.array([1, 2, 3, 4]), np.array([0, 1, 2, 3])
         ) == pytest.approx(1.0, abs=1e-12)
 
     def test_decreasing(self):
-        assert complexity_correlation(
+        assert spearman(
             np.array([4, 3, 2, 1]), np.array([0, 1, 2, 3])
         ) == pytest.approx(-1.0, abs=1e-12)
 
     def test_hand_value_with_tie(self):
-        rho = complexity_correlation(np.array([1, 2, 3, 4]), np.array([0, 1, 1, 3]))
+        rho = spearman(np.array([1, 2, 3, 4]), np.array([0, 1, 1, 3]))
         assert rho == pytest.approx(0.9487, abs=1e-4)
 
     def test_constant_error(self):
         with pytest.raises(ValueError, match="constant"):
-            complexity_correlation(np.array([1, 1, 1]), np.array([0, 1, 2]))
+            spearman(np.array([1, 1, 1]), np.array([0, 1, 2]))
 
     def test_too_short(self):
         with pytest.raises(ValueError, match="at least 3"):
-            complexity_correlation(np.array([1, 2]), np.array([0, 1]))
+            spearman(np.array([1, 2]), np.array([0, 1]))
 
     @given(seed=st.integers(0, 99))
     @settings(max_examples=100, deadline=None)

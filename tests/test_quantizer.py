@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dynavq.codebook import Codebook, init_codebook
-from dynavq.gradsuite import check_quantizer_linear
+from dynavq.gradsuite import check_quantizer
 from dynavq.numerics import grad_check
 from dynavq.quantizer import (
     PASS_SIMS,
@@ -84,10 +84,8 @@ class TestQuantize:
         z = np.random.default_rng(0).normal(size=(5, 6))
         out = quantize(z, cb, None, QuantizeMode.top1())
         assert np.all(out.alloc.counts == 1)
-        for j in range(2):
-            for i in range(5):
-                _, w = out.alloc.patch_selection(j, i)
-                assert w.tolist() == [1.0]
+        assert out.alloc.weights.shape == (2, 5, 1)
+        assert np.all(out.alloc.weights == 1.0)
 
     def test_fixed_point_when_rows_are_primitives(self):
         cb = init_codebook(2, 4, 2, seed=3)
@@ -131,7 +129,8 @@ class TestQuantize:
         out = quantize(z, cb, ratios, QuantizeMode.adaptive(8))
         for j in range(3):
             for i in range(10):
-                idx, w = out.alloc.patch_selection(j, i)
+                n = out.alloc.counts[i]
+                idx, w = out.alloc.indices[j, i, :n], out.alloc.weights[j, i, :n]
                 assert len(set(idx.tolist())) == len(idx)
                 assert abs(w.sum() - 1.0) <= 1e-10
                 assert np.all(w > 0)
@@ -161,6 +160,25 @@ class TestQuantize:
         cb = init_codebook(2, 4, 2, seed=0)
         with pytest.raises(ValueError, match="ratios"):
             quantize(np.zeros((3, 4)), cb, None, QuantizeMode.adaptive(2))
+
+    def test_top1_is_fixed_at_one(self):
+        assert QuantizeMode.top1() == QuantizeMode.fixed_top_n(1)
+        with pytest.raises(ValueError, match="unknown quantize mode 'top1'"):
+            QuantizeMode("top1")
+
+    @pytest.mark.parametrize(
+        "mode", [QuantizeMode.fixed_top_n(5), QuantizeMode.adaptive(5)],
+        ids=["fixed", "adaptive"],
+    )
+    def test_count_above_codebook_size_is_refused(self, mode):
+        cb = init_codebook(2, 4, 2, seed=0)
+        with pytest.raises(ValueError, match=f"{mode.kind} count 5 exceeds"):
+            quantize(np.ones((3, 4)), cb, np.full(3, 0.5), mode)
+
+    def test_unknown_weighting_is_a_value_error(self):
+        cb = init_codebook(2, 4, 2, seed=0)
+        with pytest.raises(ValueError, match="unknown weighting 'ridge'"):
+            quantize(np.ones((3, 4)), cb, None, QuantizeMode.top1(), weighting="ridge")
 
 
 class TestQuantizeBackward:
@@ -222,7 +240,7 @@ class TestQuantizeBackward:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_linear_weighting_gradients(self, seed):
-        report = check_quantizer_linear(seed)
+        report = check_quantizer(seed, weighting="linear")
         assert report.passed, report
 
     def test_linear_uniform_fallback_rows_get_no_weight_gradient(self):

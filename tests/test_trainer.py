@@ -351,3 +351,14 @@ class TestDatasetCache:
             assert all(
                 not np.array_equal(x.image, y.image) for x, y in zip(a.items, b.items)
             )
+
+    def test_a_manifest_of_another_patch_size_is_refused(self, tmp_path):
+        manifest = export_dataset(
+            gen_synthetic(4, 16, 4, (0, 0, 0, 1), seed=0), tmp_path / "data"
+        )
+        config = small_config(tmp_path, data_source=str(manifest), patch_size=2)
+        with pytest.raises(ValueError) as info:
+            build_datasets(config)
+        assert str(info.value) == (
+            f"manifest {manifest} labels 4-pixel patches, but patch_size is 2"
+        )
