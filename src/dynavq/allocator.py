@@ -194,8 +194,8 @@ def allocator_backward(
         d_w1[:, :, u] = d_pre @ cache.xpad[:, u:u + length1].T
         d_xpad[:, u:u + length1] += params.conv1_w[:, :, u].T @ d_pre
     d_b1 = d_pre.sum(axis=1)
-    d_input = d_xpad[:, positions].T
-    return AllocatorParams(d_w1, d_b1, d_w2, d_b2), d_input
+    d_embeddings = d_xpad[:, positions].T
+    return AllocatorParams(d_w1, d_b1, d_w2, d_b2), d_embeddings
 
 
 def count_from_ratio(ratios: Array, cap: int) -> Array:

@@ -9,6 +9,7 @@ and a config plus the code version fully determines a run.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import sys
 from dataclasses import replace
@@ -28,7 +29,7 @@ from dynavq.metrics import (
 )
 from dynavq.pipeline import Model, forward_image
 from dynavq.quantizer import QuantizeMode
-from dynavq.trainer import TrainConfig, run_training
+from dynavq.trainer import TrainConfig, build_datasets, run_training
 
 
 class ConfigError(ValueError):
@@ -124,8 +125,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from dynavq.trainer import build_datasets
-
     config = _load_config_arg(args.config)
     data = load_checkpoint(args.checkpoint)
     settings = [
@@ -202,15 +201,11 @@ def _run_variant(config: TrainConfig, workdir: Path, tag: str, **overrides) -> P
 
 
 def _val_stats(config: TrainConfig, ckpt: Path, mode: QuantizeMode):
-    from dynavq.trainer import build_datasets
-
     _, val = build_datasets(config)
     return evaluate_reconstruction(load_checkpoint(ckpt).model, val, mode)
 
 
 def _write_rows(path, header: Sequence[str], rows: Sequence[Sequence[object]]):
-    import csv
-
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

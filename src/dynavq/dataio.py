@@ -27,11 +27,15 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 
 
 class PgmError(ValueError):
-    """Malformed PGM data; ``offset`` is the byte position of the problem."""
+    """Malformed PGM data; ``offset`` is the byte position of the problem
+    and ``path`` the file, when known."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
+    def __init__(self, message: str, offset: int, path=None):
+        where = "" if path is None else f"pgm {path}: "
+        super().__init__(f"{where}{message} (byte offset {offset})")
+        self.message = message
         self.offset = offset
+        self.path = path
 
 
 class ManifestError(ValueError):
@@ -204,9 +208,16 @@ def load_raster(path) -> Array:
 
     Sample values are divided by the header's maxval; maxval above 255
     means two-byte big-endian samples per the netpbm convention. A sample
-    above maxval raises PgmError at its byte offset.
+    above maxval raises PgmError at its byte offset. Every PgmError names
+    the file.
     """
-    data = Path(path).read_bytes()
+    try:
+        return _decode_pgm(Path(path).read_bytes())
+    except PgmError as err:
+        raise PgmError(err.message, err.offset, path) from None
+
+
+def _decode_pgm(data: bytes) -> Array:
     if data[:2] != b"P5":
         raise PgmError("not a binary PGM (expected magic P5)", 0)
     pos = 2
@@ -273,7 +284,8 @@ def load_manifest(manifest_path) -> Dataset:
     """Load a dataset written by export_dataset.
 
     Each label grid must tile its image into square patches, one label in
-    [0, len(LABEL_NAMES)) per patch.
+    [0, len(LABEL_NAMES)) per patch. A malformed PGM or an unreadable
+    label CSV raises ManifestError naming the manifest line and the file.
     """
     path = Path(manifest_path)
     base = path.parent
@@ -289,8 +301,14 @@ def load_manifest(manifest_path) -> Dataset:
                 f"expected 'image_path,label_csv_path', got {len(fields)} fields",
             )
         img_rel, lbl_rel = fields
-        image = load_raster(base / img_rel)
-        labels = np.loadtxt(base / lbl_rel, dtype=np.int64, delimiter=",", ndmin=2)
+        try:
+            image = load_raster(base / img_rel)
+        except PgmError as err:
+            raise ManifestError(path, lineno, str(err)) from err
+        try:
+            labels = np.loadtxt(base / lbl_rel, dtype=np.int64, delimiter=",", ndmin=2)
+        except ValueError as err:
+            raise ManifestError(path, lineno, f"label csv {base / lbl_rel}: {err}") from err
         (h, w), (gh, gw) = image.shape, labels.shape
         if min(gh, gw) < 1 or h % gh or w % gw or h // gh != w // gw:
             raise ManifestError(

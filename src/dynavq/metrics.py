@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, Union
 
 import numpy as np
@@ -282,17 +281,13 @@ def evaluate_reconstruction(
 
 
 def rate_distortion(
-    model: Union[Model, str, Path], dataset: Dataset, forced_ns: Sequence[int]
+    model: Model, dataset: Dataset, forced_ns: Sequence[int]
 ) -> List[RDPoint]:
     """Sweep forced primitive counts plus the adaptive allocator.
 
-    ``model`` may be a Model or a checkpoint path. Returns one point per
-    forced n (quantizer in fixed mode) followed by one "adaptive" point.
+    Returns one point per forced n (quantizer in fixed mode) followed by
+    one "adaptive" point.
     """
-    if not isinstance(model, Model):
-        from dynavq.checkpoint import load_checkpoint
-
-        model = load_checkpoint(model).model
     prims = model.codebook.primitives_per_sub
     points: List[RDPoint] = []
     for n in forced_ns:

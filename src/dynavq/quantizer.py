@@ -21,11 +21,12 @@ Only each row's head, its ``cap`` most similar primitives (``cap`` being
 the mode's amount), is sorted, weighted and differentiated. The kept set
 is the top ``n`` of all primitives, which always lies inside the head.
 
-Selection is non-differentiable; gradients treat the chosen index sets as
-constants and flow through the weights and the primitive values. The
-trainer passes the decoder gradient straight through the quantizer to the
-encoder. Quantizing writes nothing into the codebook: each call returns
-its selection counts as ``usage_delta``.
+Selection is non-differentiable; the codebook gradient treats the chosen
+index sets as constants and flows through the weights and the primitive
+values. The encoder's gradient is straight-through: the trainer passes the
+decoder gradient to the embeddings unchanged, so ``quantize_backward``
+computes the codebook gradient alone. Quantizing writes nothing into the
+codebook: each call returns its selection counts as ``usage_delta``.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from dynavq.allocator import count_from_ratio
 from dynavq.codebook import Codebook
 from dynavq.numerics import DEFAULT_NORM_EPS, Array, check_finite
 
@@ -93,14 +95,13 @@ class QuantizeMode:
 
 @dataclass
 class AllocationMap:
-    """Chosen primitives per patch: ratios, counts, indices and weights.
+    """Chosen primitives per patch: counts, indices and weights.
 
     ``indices``/``weights`` have shape (subcodebooks, patches, cap) in
     selection order (descending similarity), padded with -1 / 0.0 beyond
     each patch's count.
     """
 
-    ratios: np.ndarray
     counts: np.ndarray
     cap: int
     indices: np.ndarray
@@ -120,8 +121,8 @@ class ChunkCache:
     held: the selected code indices, their similarities and their weights
     (0.0 beyond each row's count) and the mask ``keep`` of each row's
     count, next to the input rows (G, rows, width), the sub-codebooks
-    (G, codes, width) and the clamped norms. The norm clamp and the
-    weighting's ``weight_grad`` of the forward pass travel with it, so the
+    (G, codes, width) and their norms, clamped at DEFAULT_NORM_EPS. The
+    weighting's ``weight_grad`` of the forward pass travels with it, so the
     backward pass differentiates exactly the function the forward pass
     computed.
     """
@@ -134,7 +135,6 @@ class ChunkCache:
     head_sims: np.ndarray
     weights: np.ndarray
     keep: np.ndarray
-    eps: float
     weight_grad: WeightGrad
 
     @property
@@ -164,9 +164,10 @@ class QuantizeOutput:
     cache: Optional[List[ChunkCache]] = field(default=None, repr=False)
 
 
-def _clamped_norms(x: Array, eps: float) -> Array:
-    """Euclidean norms along the last axis, clamped below at ``eps``."""
-    return np.maximum(np.sqrt((x * x).sum(axis=-1)), eps)
+def _clamped_norms(x: Array) -> Array:
+    """Euclidean norms along the last axis, clamped below at
+    DEFAULT_NORM_EPS."""
+    return np.maximum(np.sqrt((x * x).sum(axis=-1)), DEFAULT_NORM_EPS)
 
 
 def _cosine(rows: Array, codes: Array, row_norms: Array, code_norms: Array) -> Array:
@@ -265,7 +266,6 @@ def _quantize_group(
     code_norms: Array,
     keep: Array,
     temperature: float,
-    eps: float,
     weighting: str,
 ) -> Tuple[Array, ChunkCache]:
     """Selection and weighted sum of every row against a group of G
@@ -299,7 +299,6 @@ def _quantize_group(
         head_sims=head_sims,
         weights=weights,
         keep=keep,
-        eps=eps,
         weight_grad=weight_grad,
     )
     if cap == 1:
@@ -316,7 +315,6 @@ def quantize_chunk(
     n: int,
     pool: int,
     temperature: float = 1.0,
-    eps: float = DEFAULT_NORM_EPS,
     weighting: str = "softmax",
 ) -> Tuple[Array, Array, Array]:
     """Quantize a single chunk row against one sub-codebook.
@@ -334,9 +332,8 @@ def quantize_chunk(
     if not 1 <= n <= pool:
         raise ValueError(f"n must lie in [1, pool={pool}], got {n}")
     out, cache = _quantize_group(
-        row[None], cb[None], _clamped_norms(row, eps)[None],
-        _clamped_norms(cb, eps)[None], np.ones((1, 1, n), bool), temperature, eps,
-        weighting,
+        row[None], cb[None], _clamped_norms(row)[None], _clamped_norms(cb)[None],
+        np.ones((1, 1, n), bool), temperature, weighting,
     )
     return out[0, 0], cache.head[0, 0], cache.weights[0, 0]
 
@@ -347,7 +344,6 @@ def quantize(
     ratios: Optional[Array],
     mode: QuantizeMode,
     temperature: float = 1.0,
-    eps: float = DEFAULT_NORM_EPS,
     weighting: str = "softmax",
 ) -> QuantizeOutput:
     """Quantize a full embedding matrix.
@@ -358,8 +354,6 @@ def quantize(
     ``cb`` is left untouched; ``usage_delta`` counts each primitive's
     selections.
     """
-    from dynavq.allocator import count_from_ratio
-
     z = check_finite("embeddings", embeddings)
     if z.ndim != 2 or z.shape[1] != cb.embed_dim:
         raise ValueError(
@@ -386,8 +380,8 @@ def quantize(
     subs = cb.subcodebooks
     # (rows x subs x width) views; sub-codebook j is [:, j]
     z_subs = z.reshape(patches, subs, cb.primitive_dim)
-    row_norms = _clamped_norms(z_subs, eps).T
-    code_norms = _clamped_norms(cb.entries, eps)
+    row_norms = _clamped_norms(z_subs).T
+    code_norms = _clamped_norms(cb.entries)
     quantized = np.empty(z.shape)
     q_subs = quantized.reshape(z_subs.shape)
     indices = np.full((subs, patches, cap), -1, dtype=np.int64)
@@ -400,7 +394,7 @@ def quantize(
         part = slice(first, min(first + group, subs))
         out, cache = _quantize_group(
             z_subs[:, part].transpose(1, 0, 2), cb.entries[part], row_norms[part],
-            code_norms[part], keep[: part.stop - first], temperature, eps, weighting,
+            code_norms[part], keep[: part.stop - first], temperature, weighting,
         )
         q_subs[:, part] = out.transpose(1, 0, 2)
         indices[part] = np.where(cache.keep, cache.head, -1)
@@ -412,18 +406,7 @@ def quantize(
         ).reshape(-1, num_codes)
         caches.append(cache)
 
-    if ratios is not None:
-        stored_ratios = np.asarray(ratios, dtype=np.float64).copy()
-    else:
-        # effective ratio realized by the forced counts
-        stored_ratios = counts / float(cap)
-    alloc = AllocationMap(
-        ratios=stored_ratios,
-        counts=counts,
-        cap=cap,
-        indices=indices,
-        weights=sel_weights,
-    )
+    alloc = AllocationMap(counts=counts, cap=cap, indices=indices, weights=sel_weights)
     per_patch_error = ((quantized - z) ** 2).sum(axis=1)
     return QuantizeOutput(
         quantized=quantized,
@@ -438,23 +421,23 @@ def quantize_backward(
     grad_quantized: Array,
     caches: Sequence[ChunkCache],
     cb: Codebook,
-) -> Tuple[Array, Array]:
-    """Exact gradients through the weighted sum, selection held fixed.
+) -> Array:
+    """Exact codebook gradient through the weighted sum, selection held
+    fixed.
 
-    Given dL/d(quantized), returns (dL/d entries, dL/d embeddings) flowing
-    through both the primitive values and the weights (whose similarities
-    depend on the inputs and the primitives), with the weighting and norm
-    clamp the forward pass used. Only the selected head enters the
-    arithmetic; weighted sums over it run as matmuls against the head
-    scattered into a dense (rows x codes) matrix.
+    Given dL/d(quantized), returns dL/d entries, flowing through both the
+    primitive values and the weights (whose similarities depend on the
+    primitives), with the weighting and norm clamp the forward pass used.
+    The embeddings get no gradient here: the encoder's is straight-through.
+    Only the selected head enters the arithmetic; weighted sums over it run
+    as matmuls against the head scattered into a dense (rows x codes)
+    matrix.
     """
     g = np.asarray(grad_quantized, dtype=np.float64)
     num_codes = cb.primitives_per_sub
     d_entries = np.zeros_like(cb.entries)
-    d_input = np.zeros((g.shape[0], cb.embed_dim))
-    # (rows x subs x width) views; sub-codebook j is [:, j]
+    # (rows x subs x width) view; sub-codebook j is [:, j]
     g_subs = g.reshape(g.shape[0], cb.subcodebooks, cb.primitive_dim)
-    d_input_subs = d_input.reshape(g_subs.shape)
     first = 0
     for cache in caches:
         groups = cache.codes.shape[0]
@@ -462,7 +445,7 @@ def quantize_backward(
         first += groups
         gj = g_subs[:, part].transpose(1, 0, 2)
         w = cache.weights
-        rows, codes = cache.rows, cache.codes
+        codes = cache.codes
         nz = cache.row_norms[..., None]
         nc = cache.code_norms
         code_index = cache.code_index()
@@ -475,20 +458,16 @@ def quantize_backward(
         head_norms = np.take(nc, code_index)
         scale = _scatter(flat, d_sims / (nz * head_norms), num_codes)
         corr = d_sims * cache.head_sims
-        row_corr = corr.sum(axis=-1) * (cache.row_norms > cache.eps)
         col_corr = np.bincount(
             code_index.ravel(), corr.ravel(), minlength=nc.size
         ).reshape(nc.shape)
-        col_corr *= nc > cache.eps
-        d_input_subs[:, part] = (
-            scale @ codes - (row_corr[..., None] / (nz * nz)) * rows
-        ).transpose(1, 0, 2)
-        d_entries[part] = scale.swapaxes(1, 2) @ rows
+        col_corr *= nc > DEFAULT_NORM_EPS
+        d_entries[part] = scale.swapaxes(1, 2) @ cache.rows
         del scale
         # direct path through the primitive values
         d_entries[part] += _scatter(flat, w, num_codes).swapaxes(1, 2) @ gj
         d_entries[part] -= (col_corr / (nc * nc))[..., None] * codes
-    return d_entries, d_input
+    return d_entries
 
 
 def commitment_loss(

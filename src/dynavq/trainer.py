@@ -42,10 +42,14 @@ from dynavq.pipeline import PARTS, SETTINGS, Model, check_settings, forward_imag
 from dynavq.quantizer import QuantizeMode, commitment_loss, quantize_backward
 from dynavq.seeding import derive_seed
 
-METRICS_HEADER = (
-    "step,loss_total,loss_rec,loss_commit,loss_dqp,loss_dpa,"
-    "mean_count,std_count,mean_R,mean_Rstar,perplexity"
+#: The metrics CSV's columns, which are also the keys of a step's row:
+#: ``step`` is written as an integer and every other column as
+#: ``repr(float)``.
+METRICS_COLUMNS = (
+    "step", "loss_total", "loss_rec", "loss_commit", "loss_dqp", "loss_dpa",
+    "mean_count", "std_count", "mean_R", "mean_Rstar", "perplexity",
 )
+METRICS_HEADER = ",".join(METRICS_COLUMNS)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -352,7 +356,7 @@ def train_step(
     )
     # the quantizer passes the decoder gradient to the encoder unchanged
     d_z_total = d_q_rec + d_z_commit
-    d_entries, _ = quantize_backward(d_q_commit, fwd.quant.cache, cb)
+    d_entries = quantize_backward(d_q_commit, fwd.quant.cache, cb)
     if active:
         grads["allocator"], d_z_alloc = allocator_backward(
             config.lambda_dpa * d_ratios, fwd.allocator_cache, model.allocator
@@ -412,13 +416,8 @@ def train_step(
 
 
 def _format_row(row: Dict[str, float]) -> str:
-    values = [str(int(row["step"]))]
-    for key in (
-        "loss_total", "loss_rec", "loss_commit", "loss_dqp", "loss_dpa",
-        "mean_count", "std_count", "mean_R", "mean_Rstar", "perplexity",
-    ):
-        values.append(repr(float(row[key])))
-    return ",".join(values)
+    step, *rest = METRICS_COLUMNS
+    return ",".join([str(int(row[step]))] + [repr(float(row[key])) for key in rest])
 
 
 def warmup_checkpoint_path(config: TrainConfig) -> Path:

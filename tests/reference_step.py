@@ -79,7 +79,7 @@ def reference_train_step(
             config.lambda_rec * d_recon, fwd.decoder_cache, model.decoder
         )
         d_z_total = d_q_rec + d_z_commit
-        d_entries, _ = quantize_backward(d_q_commit, fwd.quant.cache, cb)
+        d_entries = quantize_backward(d_q_commit, fwd.quant.cache, cb)
         if active:
             alloc_grads, d_z_alloc = allocator_backward(
                 config.lambda_dpa * d_ratios, fwd.allocator_cache, model.allocator

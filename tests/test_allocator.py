@@ -123,8 +123,8 @@ class TestBackward:
 
         def g(z):
             ratios, cache = allocator_forward(z, params)
-            _, d_input = allocator_backward(coeff, cache, params)
-            return d_input
+            _, d_z = allocator_backward(coeff, cache, params)
+            return d_z
 
         report = grad_check(f, g, z0, eps=1e-5, rel_tol=1e-4)
         assert report.passed, report

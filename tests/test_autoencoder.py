@@ -121,8 +121,8 @@ class TestMlp:
 
         def g(x):
             out, cache = mlp_forward(x, params)
-            _, d_input = mlp_backward(coeff, cache, params)
-            return d_input
+            _, d_x = mlp_backward(coeff, cache, params)
+            return d_x
 
         report = grad_check(f, g, rng.normal(size=(2, 4)), eps=1e-5, rel_tol=1e-4)
         assert report.passed, report

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from dynavq.checkpoint import load_checkpoint
+from dynavq.checkpoint import CheckpointData, load_checkpoint, save_checkpoint
 from dynavq.cli import ConfigError, parse_config, run_command
 from dynavq.dataio import load_raster, save_raster
 from dynavq.metrics import evaluate_reconstruction
 from dynavq.seeding import derive_seed
-from dynavq.trainer import build_datasets
+from dynavq.trainer import build_datasets, init_state
 
 
 CONFIG_SMALL = """
@@ -215,6 +215,21 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert status == 1
         assert "nope.ckpt" in captured.err
+
+    def test_reconstruct_names_a_bad_input_file(self, tmp_path, capsys):
+        config = parse_config(write_config(tmp_path))
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, CheckpointData(model=init_state(config).model))
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(b"P5\n2 1\n100\n" + bytes([50, 200]))
+        status = run_command([
+            "reconstruct", "--checkpoint", str(ckpt),
+            "--input", str(bad), "--output", str(tmp_path / "out.pgm"),
+        ])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert f"error: pgm {bad}: sample 200 exceeds maxval 100" in captured.err
+        assert not (tmp_path / "out.pgm").exists()
 
     def test_train_eval_reconstruct_heatmap_roundtrip(self, tmp_path, capsys):
         cfg = write_config(

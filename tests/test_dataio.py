@@ -168,6 +168,18 @@ class TestPgm:
         assert err.value.offset == offset
         assert path.read_bytes()[offset:offset + width] == samples[width:]
 
+    @pytest.mark.parametrize(
+        "payload", [b"P6\n1 1\n255\n\x00", b"P5\n2 1\n100\n\x32\xc8", b"P5\n4"],
+        ids=["bad-magic", "above-maxval", "short-header"],
+    )
+    def test_every_error_names_the_file(self, tmp_path, payload):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(payload)
+        with pytest.raises(PgmError) as err:
+            load_raster(path)
+        assert str(err.value).startswith(f"pgm {path}: ")
+        assert err.value.path == path
+
     def test_comments_in_header(self, tmp_path):
         path = tmp_path / "c.pgm"
         path.write_bytes(b"P5\n# a comment\n2 2\n255\n" + bytes(4))
@@ -253,3 +265,23 @@ class TestManifest:
             load_manifest(manifest)
         assert str(manifest) in str(info.value)
         assert info.value.lineno == 2
+
+    def test_a_bad_pgm_names_manifest_line_and_file(self, tmp_path):
+        ds = gen_synthetic(2, 8, 4, (0.25, 0.25, 0.25, 0.25), seed=9)
+        manifest = export_dataset(ds, tmp_path / "data")
+        pgm = manifest.parent / "item_0001.pgm"
+        pgm.write_bytes(b"P5\n2 1\n100\n" + bytes([50, 200]))
+        with pytest.raises(ManifestError, match="sample 200 exceeds maxval 100") as info:
+            load_manifest(manifest)
+        assert f"manifest {manifest} line 2: pgm {pgm}: " in str(info.value)
+        assert info.value.lineno == 2
+
+    def test_a_non_integer_label_names_manifest_line_and_file(self, tmp_path):
+        ds = gen_synthetic(2, 8, 4, (0.25, 0.25, 0.25, 0.25), seed=9)
+        manifest = export_dataset(ds, tmp_path / "data")
+        csv = manifest.parent / "item_0000_labels.csv"
+        csv.write_text("0,1\n2,abc\n")
+        with pytest.raises(ManifestError, match="'abc'") as info:
+            load_manifest(manifest)
+        assert f"manifest {manifest} line 1: label csv {csv}: " in str(info.value)
+        assert info.value.lineno == 1

@@ -124,7 +124,6 @@ class TestHeatmap:
         counts = np.asarray(counts, dtype=np.int64)
         n = counts.shape[0]
         return AllocationMap(
-            ratios=counts / cap,
             counts=counts,
             cap=cap,
             indices=np.zeros((1, n, cap), dtype=np.int64),
@@ -271,16 +270,6 @@ class TestEvaluation:
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("setting,mean_mse")
         assert lines[1].startswith("adaptive,")
-
-    def test_checkpoint_path_accepted(self, setup, tmp_path):
-        from dynavq.checkpoint import CheckpointData, save_checkpoint
-
-        model, ds = setup
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, CheckpointData(model=model))
-        points = rate_distortion(path, ds, [1])
-        direct = rate_distortion(model, ds, [1])
-        assert points[0].mean_mse == direct[0].mean_mse
 
 
 def test_forward_image_shapes():

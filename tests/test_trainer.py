@@ -8,6 +8,7 @@ from dynavq import trainer
 from dynavq.checkpoint import load_checkpoint
 from dynavq.dataio import export_dataset, gen_synthetic
 from dynavq.trainer import (
+    METRICS_COLUMNS,
     METRICS_HEADER,
     TrainConfig,
     build_datasets,
@@ -161,6 +162,11 @@ class TestRunTraining:
         lines = metrics_path.read_text().splitlines()
         assert lines[0] == METRICS_HEADER
         assert len(lines) == 1 + config.total_steps
+
+    def test_row_keys_are_the_metrics_columns(self, tmp_path):
+        rows = []
+        run_training(small_config(tmp_path), observer=lambda s, row, raw: rows.append(row))
+        assert rows and all(tuple(row) == METRICS_COLUMNS for row in rows)
 
     def test_zero_steps(self, tmp_path):
         config = small_config(tmp_path, total_steps=0)
