@@ -185,9 +185,16 @@ class TestQuantize:
 class TestQuantizeBackward:
     @pytest.mark.parametrize("seed", range(5))
     def test_gradients_at_stable_points(self, seed):
-        for weighting in WEIGHTINGS:
-            report = check_quantizer(seed, weighting=weighting)
-            assert report.passed, (weighting, report)
+        report = check_quantizer(seed, weighting="softmax")
+        assert report.passed, report
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_linear_weighting_gradients(self, seed):
+        report = check_quantizer(seed, weighting="linear")
+        assert report.passed, report
+
+    def test_every_weighting_is_checked(self):
+        assert set(WEIGHTINGS) == {"softmax", "linear"}
 
     def test_linear_uniform_fallback_rows_get_no_weight_gradient(self):
         # a zero row has all similarities 0, so its linear weights fall
