@@ -14,7 +14,7 @@ import dataclasses
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, get_type_hints
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from dynavq.metrics import (
 )
 from dynavq.pipeline import Model, forward_image
 from dynavq.quantizer import QuantizeMode
-from dynavq.trainer import TrainConfig, build_datasets, run_training
+from dynavq.trainer import FIELD_TYPES, TrainConfig, build_datasets, run_training
 
 
 class ConfigError(ValueError):
@@ -41,10 +41,9 @@ def parse_config(path) -> TrainConfig:
 
     Lines starting with ``#`` (and inline ``#`` comments) are ignored.
     Every key is optional; defaults come from TrainConfig, and each value
-    is parsed with the type of its TrainConfig field. Errors name the
-    offending key and line number.
+    is parsed with the type of its TrainConfig field. Every error is a
+    ConfigError naming the file; parse errors also name the line and key.
     """
-    types = get_type_hints(TrainConfig)
     values: Dict[str, object] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -55,19 +54,21 @@ def parse_config(path) -> TrainConfig:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {rawline!r}")
+            raise ConfigError(
+                f"config {path} line {lineno}: expected 'key = value', got {rawline!r}"
+            )
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in types:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key not in FIELD_TYPES:
+            raise ConfigError(f"config {path} line {lineno}: unknown key {key!r}")
         if key in values:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+            raise ConfigError(f"config {path} line {lineno}: duplicate key {key!r}")
         try:
-            values[key] = types[key](value)
+            values[key] = FIELD_TYPES[key](value)
         except ValueError as err:
             raise ConfigError(
-                f"line {lineno}: key {key!r}: cannot parse {value!r}"
+                f"config {path} line {lineno}: key {key!r}: cannot parse {value!r}"
             ) from err
     config = TrainConfig(**values)
     # surface range errors early, tagged with the key name

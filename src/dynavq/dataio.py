@@ -9,9 +9,10 @@ primitives on busier patches.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,10 +40,12 @@ class PgmError(ValueError):
 
 
 class ManifestError(ValueError):
-    """Malformed manifest line; names the manifest and the 1-based line."""
+    """Malformed manifest; names the manifest and the 1-based line, or no
+    line when the fault is the whole file."""
 
-    def __init__(self, path, lineno: int, message: str):
-        super().__init__(f"manifest {path} line {lineno}: {message}")
+    def __init__(self, path, lineno: Optional[int], message: str):
+        where = "" if lineno is None else f" line {lineno}"
+        super().__init__(f"manifest {path}{where}: {message}")
         self.lineno = lineno
 
 
@@ -226,6 +229,8 @@ def _decode_pgm(data: bytes) -> Array:
         token, pos = _next_token(data, pos)
         if not token.isdigit():
             raise PgmError(f"expected integer header field, got {token!r}", pos - len(token))
+        if len(token) > 20:  # int() refuses past 4300 digits; no real field comes close
+            raise PgmError(f"{len(token)}-digit header field", pos - len(token))
         fields.append(int(token))
     width, height, maxval = fields
     if width < 1 or height < 1:
@@ -280,17 +285,32 @@ def export_dataset(ds: Dataset, directory) -> Path:
     return manifest
 
 
+def _reason(err: Exception) -> str:
+    """An OSError's reason without the path it repeats, else the message."""
+    return getattr(err, "strerror", None) or str(err)
+
+
 def load_manifest(manifest_path) -> Dataset:
     """Load a dataset written by export_dataset.
 
     Each label grid must tile its image into square patches, one label in
-    [0, len(LABEL_NAMES)) per patch. A malformed PGM or an unreadable
-    label CSV raises ManifestError naming the manifest line and the file.
+    [0, len(LABEL_NAMES)) per patch. Every fault in the manifest or a
+    file it lists raises ManifestError naming the manifest, the line and
+    the file: a missing or malformed PGM, a missing, unparsable or empty
+    label CSV, text that is not UTF-8. A manifest that lists no items
+    raises it without a line.
     """
     path = Path(manifest_path)
     base = path.parent
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        # the line the first undecodable byte sits on
+        lineno = len((raw[: err.start].decode("utf-8") + "?").splitlines())
+        raise ManifestError(path, lineno, f"not UTF-8 text ({err.reason})") from err
     items = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -300,17 +320,26 @@ def load_manifest(manifest_path) -> Dataset:
                 path, lineno,
                 f"expected 'image_path,label_csv_path', got {len(fields)} fields",
             )
-        img_rel, lbl_rel = fields
+        img_path, csv_path = (base / rel for rel in fields)
         try:
-            image = load_raster(base / img_rel)
+            image = load_raster(img_path)
         except PgmError as err:
             raise ManifestError(path, lineno, str(err)) from err
+        except (OSError, ValueError) as err:
+            raise ManifestError(path, lineno, f"pgm {img_path}: {_reason(err)}") from err
         try:
-            labels = np.loadtxt(base / lbl_rel, dtype=np.int64, delimiter=",", ndmin=2)
-        except ValueError as err:
-            raise ManifestError(path, lineno, f"label csv {base / lbl_rel}: {err}") from err
+            with warnings.catch_warnings():
+                # numpy warns on an empty file; it is refused below, by name
+                warnings.simplefilter("ignore", UserWarning)
+                labels = np.loadtxt(csv_path, dtype=np.int64, delimiter=",", ndmin=2)
+        except (OSError, ValueError) as err:
+            raise ManifestError(
+                path, lineno, f"label csv {csv_path}: {_reason(err)}"
+            ) from err
+        if labels.size == 0:
+            raise ManifestError(path, lineno, f"label csv {csv_path}: holds no labels")
         (h, w), (gh, gw) = image.shape, labels.shape
-        if min(gh, gw) < 1 or h % gh or w % gw or h // gh != w // gw:
+        if h % gh or w % gw or h // gh != w // gw:
             raise ManifestError(
                 path, lineno,
                 f"a {gh}x{gw} label grid does not tile the {h}x{w} image "
@@ -324,5 +353,5 @@ def load_manifest(manifest_path) -> Dataset:
             )
         items.append(LabeledImage(image=image, patch_labels=labels))
     if not items:
-        raise ValueError(f"manifest {path} lists no items")
+        raise ManifestError(path, None, "lists no items")
     return Dataset(items=items, seed=0, recipe=f"manifest({path})")

@@ -17,8 +17,11 @@ sub-codebooks, and one with 256 codes per sub-codebook groups them in
 pairs; a training batch or an evaluation chunk takes one per pass.
 Grouping changes no output bit.
 
-Only each row's head, its ``cap`` most similar primitives (``cap`` being
-the mode's amount), is sorted, weighted and differentiated. The kept set
+Each row's head, its ``cap`` most similar primitives (``cap`` being the
+mode's amount), is found by ``select_head``: an argmax when ``cap`` is 1,
+else one in-place integer sort of keys that pack each similarity (in
+[-1, 1]) with its code index, with a stable argsort for any row whose
+keys collide. Only the head is weighted and differentiated. The kept set
 is the top ``n`` of all primitives, which always lies inside the head.
 
 Selection is non-differentiable; the codebook gradient treats the chosen
@@ -185,33 +188,29 @@ def _flat_index(cols: Array, width: int) -> Array:
 def select_head(sims: Array, cap: int) -> Array:
     """The ``cap`` most similar codes of each row, most similar first.
 
-    Equals ``np.argsort(-sims, axis=1, kind="stable")[:, :cap]``: ties
-    break by ascending code index. A width-1 head is an argmax. A wider
-    head is the codes at or above the row's ``cap``-th largest similarity,
-    found by a partition, then sorted. A row where more than ``cap`` codes
-    reach that bound (a tie across the boundary), or whose head repeats a
-    similarity, is re-selected by the exact stable sort.
+    ``sims`` is float64 in [-1, 1]. Equals
+    ``np.argsort(-sims, axis=1, kind="stable")[:, :cap]``: ties break by
+    ascending code index. A width-1 head is an argmax. A wider head comes
+    from one in-place integer sort of packed keys: ``2 - sims`` is a
+    positive float, whose bits order like an int64 and fall as the
+    similarity rises, so its low ``b = (codes - 1).bit_length()`` bits are
+    replaced by the code index. A row where two of its first ``cap + 1``
+    sorted keys share the bits above those (an exact tie, or similarities
+    within 2**b ulps of each other) is re-selected by the exact stable
+    sort.
     """
-    rows, num_codes = sims.shape
+    num_codes = sims.shape[1]
     if cap == 1:
         return np.argmax(sims, axis=1)[:, None]
-    bound = np.partition(sims, num_codes - cap, axis=1)[:, num_codes - cap]
-    inside = sims >= bound[:, None]
-    flat = np.flatnonzero(inside)
-    tied = np.zeros(rows, dtype=bool)
-    if flat.size > rows * cap:
-        tied = np.count_nonzero(inside, axis=1) > cap
-        inside[tied] = np.arange(num_codes) < cap  # placeholder, redone below
-        flat = np.flatnonzero(inside)
-    # flat positions in ascending order: each row's head by ascending index
-    flat = flat.reshape(rows, cap)
-    head_neg = -np.take(sims, flat)
-    inner = _flat_index(np.argsort(head_neg, axis=1), cap)
-    head = np.take(flat, inner) % num_codes
-    ordered = np.take(head_neg, inner)
-    repeated = ordered[:, 1:] == ordered[:, :-1]
-    if repeated.any():
-        tied |= repeated.any(axis=1)
+    bits = (num_codes - 1).bit_length()
+    low = (1 << bits) - 1
+    keys = (2.0 - sims).view(np.int64)
+    keys &= ~low
+    keys |= np.arange(num_codes)
+    keys.sort(axis=1)
+    high = keys[:, : cap + 1] >> bits
+    tied = (high[:, 1:] == high[:, :-1]).any(axis=1)
+    head = keys[:, :cap] & low
     if tied.any():
         head[tied] = np.argsort(-sims[tied], axis=1, kind="stable")[:, :cap]
     return head

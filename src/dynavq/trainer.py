@@ -108,7 +108,7 @@ class TrainConfig:
         return (self.mix_flat, self.mix_smooth, self.mix_texture, self.mix_noise)
 
     def validate(self) -> None:
-        for name, kind in get_type_hints(TrainConfig).items():
+        for name, kind in FIELD_TYPES.items():
             value = getattr(self, name)
             if kind is float and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -150,6 +150,11 @@ class TrainConfig:
         if self.quantize_mode == "top1":
             return QuantizeMode.top1()
         return QuantizeMode.fixed_top_n(self.fixed_n)
+
+
+#: Each TrainConfig field's type, looked up once: ``validate`` checks the
+#: float fields and the CLI parses each config value with its type.
+FIELD_TYPES: Dict[str, type] = get_type_hints(TrainConfig)
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -169,8 +171,10 @@ class TestPgm:
         assert path.read_bytes()[offset:offset + width] == samples[width:]
 
     @pytest.mark.parametrize(
-        "payload", [b"P6\n1 1\n255\n\x00", b"P5\n2 1\n100\n\x32\xc8", b"P5\n4"],
-        ids=["bad-magic", "above-maxval", "short-header"],
+        "payload",
+        [b"P6\n1 1\n255\n\x00", b"P5\n2 1\n100\n\x32\xc8", b"P5\n4",
+         b"P5\n" + b"9" * 5000 + b" 1 255\n\x00"],
+        ids=["bad-magic", "above-maxval", "short-header", "5000-digit-width"],
     )
     def test_every_error_names_the_file(self, tmp_path, payload):
         path = tmp_path / "bad.pgm"
@@ -227,8 +231,20 @@ class TestManifest:
     def test_empty_manifest(self, tmp_path):
         path = tmp_path / "manifest.txt"
         path.write_text("\n")
-        with pytest.raises(ValueError, match="no items"):
+        with pytest.raises(ManifestError, match="no items") as info:
             load_manifest(path)
+        assert str(info.value) == f"manifest {path}: lists no items"
+        assert info.value.lineno is None
+
+    def test_non_utf8_text_names_its_line(self, tmp_path):
+        ds = gen_synthetic(2, 8, 4, (0.25, 0.25, 0.25, 0.25), seed=9)
+        manifest = export_dataset(ds, tmp_path / "data")
+        good = manifest.read_bytes().splitlines()
+        manifest.write_bytes(b"\r\n".join([good[0], b"item_\xff.pgm,x.csv", good[1]]))
+        with pytest.raises(ManifestError, match="not UTF-8 text") as info:
+            load_manifest(manifest)
+        assert f"manifest {manifest} line 2: " in str(info.value)
+        assert info.value.lineno == 2
 
     @pytest.mark.parametrize(
         "line, fields", [("item_0000.pgm", 1), ("a.pgm,a.csv,extra.csv", 3)],
@@ -283,5 +299,40 @@ class TestManifest:
         csv.write_text("0,1\n2,abc\n")
         with pytest.raises(ManifestError, match="'abc'") as info:
             load_manifest(manifest)
+        assert f"manifest {manifest} line 1: label csv {csv}: " in str(info.value)
+        assert info.value.lineno == 1
+
+    @pytest.mark.parametrize(
+        "name, prefix, message",
+        [
+            ("item_0001.pgm", "pgm", "No such file or directory"),
+            ("item_0001_labels.csv", "label csv", "not found"),
+        ],
+        ids=["pgm", "label-csv"],
+    )
+    def test_a_missing_file_names_manifest_line_and_file(
+        self, tmp_path, name, prefix, message
+    ):
+        ds = gen_synthetic(2, 8, 4, (0.25, 0.25, 0.25, 0.25), seed=9)
+        manifest = export_dataset(ds, tmp_path / "data")
+        missing = manifest.parent / name
+        missing.unlink()
+        with pytest.raises(ManifestError, match=message) as info:
+            load_manifest(manifest)
+        assert f"manifest {manifest} line 2: {prefix} {missing}: " in str(info.value)
+        assert info.value.lineno == 2
+
+    @pytest.mark.parametrize(
+        "text", ["", "\n\n", "# no labels\n"], ids=["empty", "blank", "comment"]
+    )
+    def test_an_empty_label_csv_is_refused_without_a_warning(self, tmp_path, text):
+        ds = gen_synthetic(2, 8, 4, (0.25, 0.25, 0.25, 0.25), seed=9)
+        manifest = export_dataset(ds, tmp_path / "data")
+        csv = manifest.parent / "item_0000_labels.csv"
+        csv.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ManifestError, match="holds no labels") as info:
+                load_manifest(manifest)
         assert f"manifest {manifest} line 1: label csv {csv}: " in str(info.value)
         assert info.value.lineno == 1

@@ -1,4 +1,4 @@
-"""Head selection: the partitioned top-``cap`` against a full stable sort."""
+"""Head selection: the packed-key sort against a full stable sort."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -35,6 +35,40 @@ def tied_sims(draw):
 @settings(max_examples=300, deadline=None)
 @given(tied_sims())
 def test_head_equals_stable_argsort(case):
+    sims, cap = case
+    assert np.array_equal(select_head(sims, cap), stable_head(sims, cap))
+
+
+@st.composite
+def colliding_sims(draw):
+    """Rows whose packed keys collide in their high part: a few levels,
+    their np.nextafter neighbours, and values some ulps of the key
+    ``2 - s`` away, near multiples of ``2**b``, with +-0.0 and code counts
+    whose index width ``b`` crosses a bit boundary."""
+    codes = draw(st.sampled_from([2, 3, 64, 65, 256, 257]))
+    rows = draw(st.integers(1, 4))
+    cap = draw(st.sampled_from(sorted({2, codes - 1, codes, draw(st.integers(2, codes))})))
+    step = 1 << (codes - 1).bit_length()
+    anchors = [-1.0, -0.5, -1e-9, 0.0, 0.25, 0.5, 1.0 - 2.0**-20, 1.0]
+    levels = draw(st.lists(st.sampled_from(anchors), min_size=1, max_size=3, unique=True))
+    pool = [0.0, -0.0]
+    for level in levels:
+        up = down = level
+        for _ in range(3):
+            up, down = np.nextafter(up, 2.0), np.nextafter(down, -2.0)
+            pool += [up, down]
+        key = 2.0 - level
+        for k in (1, step - 1, step, step + 1, 2 * step):
+            # 2 - (2 - s) is exact for keys in [1, 3] (Sterbenz)
+            pool += [2.0 - (key + sign * k * np.spacing(key)) for sign in (-1, 1)]
+    values = [float(np.clip(v, -1.0, 1.0)) for v in pool]
+    sims = draw(arrays(np.float64, (rows, codes), elements=st.sampled_from(values)))
+    return sims, cap
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(colliding_sims())
+def test_head_equals_stable_argsort_near_key_collisions(case):
     sims, cap = case
     assert np.array_equal(select_head(sims, cap), stable_head(sims, cap))
 
