@@ -25,6 +25,7 @@ from dynavq.metrics import (
     allocation_heatmap,
     centroid_similarity_matrix,
     evaluate_reconstruction,
+    rate_distortion,
     write_eval_report,
 )
 from dynavq.pipeline import Model, forward_image
@@ -128,45 +129,42 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     config = _load_config_arg(args.config)
     data = load_checkpoint(args.checkpoint)
-    settings = [
-        (str(n), QuantizeMode.fixed_top_n(n))
-        for n in _forced_counts(args.forced_n, data.model)
-    ]
-    settings.append(("adaptive", data.model.adaptive_mode()))
+    counts = _forced_counts(args.forced_n, data.model)
     _, val = build_datasets(config)
-    rows = []
-    for name, mode in settings:
-        stats = evaluate_reconstruction(data.model, val, mode)
-        rows.append({
-            "setting": name,
-            "mean_mse": stats.mean_mse,
-            "psnr": stats.mean_psnr,
-            "ssim": stats.mean_ssim,
-            "mean_count": stats.mean_count,
-            "perplexity": stats.perplexity,
-        })
-    write_eval_report(args.out, rows)
+    stats = rate_distortion(data.model, val, counts)
+    write_eval_report(args.out, [str(n) for n in counts] + ["adaptive"], stats)
     print(f"report: {args.out}")
     return 0
 
 
-def _cmd_reconstruct(args) -> int:
-    data = load_checkpoint(args.checkpoint)
+def _forward_input(args):
+    """The checkpoint's model and its forward pass over the ``--input``
+    PGM, which must tile into the model's patches."""
+    model = load_checkpoint(args.checkpoint).model
     image = load_raster(args.input)
-    result = forward_image(data.model, image)
     h, w = image.shape
-    recon = result.recon_image(h, w, data.model.patch_size)
+    patch = model.patch_size
+    if h % patch or w % patch:
+        raise ValueError(
+            f"--input {args.input}: a {h}x{w} image does not tile into "
+            f"{patch}x{patch} patches"
+        )
+    return model, image, forward_image(model, image)
+
+
+def _cmd_reconstruct(args) -> int:
+    model, image, result = _forward_input(args)
+    h, w = image.shape
+    recon = result.recon_image(h, w, model.patch_size)
     save_raster(np.clip(recon, 0.0, 1.0), args.output)
     print(f"reconstruction: {args.output}")
     return 0
 
 
 def _cmd_heatmap(args) -> int:
-    data = load_checkpoint(args.checkpoint)
-    image = load_raster(args.input)
-    result = forward_image(data.model, image)
+    model, image, result = _forward_input(args)
     h, w = image.shape
-    patch = data.model.patch_size
+    patch = model.patch_size
     allocation_heatmap(result.quant.alloc, h // patch, w // patch, args.output)
     print(f"heatmap: {args.output}")
     return 0

@@ -51,9 +51,6 @@ class Codebook:
     def embed_dim(self) -> int:
         return self.subcodebooks * self.primitive_dim
 
-    def copy(self) -> "Codebook":
-        return Codebook(self.entries.copy(), self.usage_counts.copy())
-
 
 def init_codebook(
     subcodebooks: int, primitives_per_sub: int, primitive_dim: int, seed: int

@@ -154,11 +154,17 @@ def gen_synthetic(
 
 
 def split(ds: Dataset, train_frac: float, seed: int) -> Tuple[Dataset, Dataset]:
-    """Deterministic shuffled split into disjoint, exhaustive halves."""
+    """Deterministic shuffled split into disjoint, exhaustive halves; the
+    training half must hold at least one item."""
     if not 0.0 < train_frac < 1.0:
         raise ValueError("train_frac must lie strictly between 0 and 1")
-    perm = np.random.default_rng(seed).permutation(len(ds.items))
     n_train = int(train_frac * len(ds.items))
+    if n_train == 0:
+        raise ValueError(
+            f"train_frac {train_frac} of {len(ds.items)} items leaves the "
+            "training split empty"
+        )
+    perm = np.random.default_rng(seed).permutation(len(ds.items))
     train_items = [ds.items[i] for i in perm[:n_train]]
     val_items = [ds.items[i] for i in perm[n_train:]]
     return (

@@ -119,12 +119,16 @@ def _stable_quantizer_setup(seed: int):
         ratios = rng.uniform(0.2, 0.9, size=4)
         out = quantize(z, cb, ratios, QuantizeMode.adaptive(3))
         stable = True
-        for sims in (s for cache in out.cache for s in cache.sims):
-            ordered = -np.sort(-sims, axis=1)
-            for i, n in enumerate(out.alloc.counts):
-                if n < sims.shape[1]:
-                    if ordered[i, n - 1] - ordered[i, n] < SELECTION_MARGIN:
-                        stable = False
+        for cache in out.cache:
+            # the similarities, with the arithmetic the forward pass used
+            unit_rows = cache.rows / cache.row_norms[..., None]
+            unit_codes = cache.codes / cache.code_norms[..., None]
+            for sims in unit_rows @ unit_codes.swapaxes(1, 2):
+                ordered = -np.sort(-sims, axis=1)
+                for i, n in enumerate(out.alloc.counts):
+                    if n < sims.shape[1]:
+                        if ordered[i, n - 1] - ordered[i, n] < SELECTION_MARGIN:
+                            stable = False
         if stable:
             return cb, z, ratios
     raise RuntimeError("could not find a selection-stable quantizer setup")

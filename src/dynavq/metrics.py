@@ -29,6 +29,10 @@ from dynavq.quantizer import AllocationMap, QuantizeMode
 #: PSNR reported for a zero-MSE pair; keeps CSV outputs free of infinities.
 PSNR_CAP_DB = 99.0
 
+#: Side of SSIM's square windows; evaluated images must be at least this
+#: wide and tall.
+SSIM_WINDOW = 8
+
 #: Patch rows per evaluation forward pass: one training batch at the desk
 #: recipe (8 images x 64 patches). Evaluation then holds no more
 #: activations at once than a training step does, whatever the dataset's
@@ -51,7 +55,7 @@ def psnr(a: Array, b: Array, max_val: float = 1.0) -> float:
 def ssim(
     a: Array,
     b: Array,
-    window: int = 8,
+    window: int = SSIM_WINDOW,
     k1: float = 0.01,
     k2: float = 0.03,
 ) -> float:
@@ -207,15 +211,6 @@ class EvalStats:
     labels: np.ndarray
 
 
-@dataclass
-class RDPoint:
-    """One operating point of the rate-distortion sweep."""
-
-    forced_n: Union[int, str]
-    mean_mse: float
-    mean_count: float
-
-
 def _chunks(items: Sequence[LabeledImage], patch: int) -> Iterator[List[LabeledImage]]:
     """Consecutive items grouped into chunks of at most EVAL_ROWS patch
     rows; an item with more rows than that forms a chunk of its own."""
@@ -282,40 +277,38 @@ def evaluate_reconstruction(
 
 def rate_distortion(
     model: Model, dataset: Dataset, forced_ns: Sequence[int]
-) -> List[RDPoint]:
-    """Sweep forced primitive counts plus the adaptive allocator.
+) -> List[EvalStats]:
+    """Evaluate each forced primitive count, then the adaptive allocator.
 
-    Returns one point per forced n (quantizer in fixed mode) followed by
-    one "adaptive" point.
+    Returns one EvalStats per forced n (quantizer in fixed mode), in the
+    given order, followed by the adaptive one.
     """
     prims = model.codebook.primitives_per_sub
-    points: List[RDPoint] = []
     for n in forced_ns:
         if not 1 <= n <= prims:
             raise ValueError(f"forced n must lie in [1, {prims}], got {n}")
-        stats = evaluate_reconstruction(model, dataset, QuantizeMode.fixed_top_n(n))
-        points.append(RDPoint(forced_n=int(n), mean_mse=stats.mean_mse,
-                              mean_count=stats.mean_count))
-    stats = evaluate_reconstruction(model, dataset, model.adaptive_mode())
-    points.append(RDPoint(forced_n="adaptive", mean_mse=stats.mean_mse,
-                          mean_count=stats.mean_count))
-    return points
+    modes = [QuantizeMode.fixed_top_n(n) for n in forced_ns]
+    modes.append(model.adaptive_mode())
+    return [evaluate_reconstruction(model, dataset, mode) for mode in modes]
 
 
-def write_eval_report(path, rows: Sequence[dict]) -> None:
-    """CSV report: setting, mean_mse, psnr, ssim, mean_count, perplexities."""
+def write_eval_report(
+    path, settings: Sequence[str], stats: Sequence[EvalStats]
+) -> None:
+    """CSV report, one row per setting name and its EvalStats: setting,
+    mean_mse, psnr, ssim, mean_count, perplexities."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["setting", "mean_mse", "psnr", "ssim", "mean_count",
              "perplexity_per_subcodebook"]
         )
-        for row in rows:
+        for setting, row in zip(settings, stats, strict=True):
             writer.writerow([
-                row["setting"],
-                repr(float(row["mean_mse"])),
-                repr(float(row["psnr"])),
-                repr(float(row["ssim"])),
-                repr(float(row["mean_count"])),
-                ";".join(repr(float(p)) for p in np.atleast_1d(row["perplexity"])),
+                setting,
+                repr(float(row.mean_mse)),
+                repr(float(row.mean_psnr)),
+                repr(float(row.mean_ssim)),
+                repr(float(row.mean_count)),
+                ";".join(repr(float(p)) for p in np.atleast_1d(row.perplexity)),
             ])

@@ -5,8 +5,9 @@ chunk row is scored by cosine similarity against all primitives of its
 sub-codebook, the top ``n`` of them are kept (ties broken by ascending
 index), and the output is their sum, weighted by one of the WEIGHTINGS.
 ``n`` is a constant in fixed mode (1 in warm-up/top-1) and
-allocator-driven in adaptive mode. One call quantizes every row it is
-given, so a training step quantizes all patches of its batch at once.
+allocator-driven in adaptive mode. ``quantize`` is the one entry point:
+a call quantizes every row it is given, from one row against a
+one-sub-codebook store to all patches of a training batch at once.
 
 A call takes the sub-codebooks in groups of
 ``max(1, PASS_SIMS // (rows * codes))`` and scores each group in one pass:
@@ -140,12 +141,6 @@ class ChunkCache:
     keep: np.ndarray
     weight_grad: WeightGrad
 
-    @property
-    def sims(self) -> np.ndarray:
-        """Full (G x rows x codes) cosine similarities, recomputed on access
-        with the arithmetic the forward pass selected with."""
-        return _cosine(self.rows, self.codes, self.row_norms, self.code_norms)
-
     def code_index(self) -> np.ndarray:
         """``head`` as indices into the group's codes stacked as one
         (G * codes) axis; ``head`` itself when G is 1, so a one-sub-codebook
@@ -162,7 +157,6 @@ class QuantizeOutput:
 
     quantized: np.ndarray
     alloc: AllocationMap
-    per_patch_error: np.ndarray
     usage_delta: np.ndarray
     cache: Optional[List[ChunkCache]] = field(default=None, repr=False)
 
@@ -308,35 +302,6 @@ def _quantize_group(
     return out, cache
 
 
-def quantize_chunk(
-    chunk_row: Array,
-    sub_cb: Array,
-    n: int,
-    pool: int,
-    temperature: float = 1.0,
-    weighting: str = "softmax",
-) -> Tuple[Array, Array, Array]:
-    """Quantize a single chunk row against one sub-codebook.
-
-    Returns (output vector, selected indices by descending similarity,
-    weights over the selection). ``pool`` must lie in [n, codes] but
-    changes no output: the kept set is the top ``n`` of all codes.
-    """
-    row = check_finite("chunk", chunk_row).reshape(1, -1)
-    cb = np.asarray(sub_cb, dtype=np.float64)
-    if cb.ndim != 2 or cb.shape[1] != row.shape[1]:
-        raise ValueError("sub-codebook width must match the chunk")
-    if not 1 <= pool <= cb.shape[0]:
-        raise ValueError(f"pool must lie in [1, {cb.shape[0]}], got {pool}")
-    if not 1 <= n <= pool:
-        raise ValueError(f"n must lie in [1, pool={pool}], got {n}")
-    out, cache = _quantize_group(
-        row[None], cb[None], _clamped_norms(row)[None], _clamped_norms(cb)[None],
-        np.ones((1, 1, n), bool), temperature, weighting,
-    )
-    return out[0, 0], cache.head[0, 0], cache.weights[0, 0]
-
-
 def quantize(
     embeddings: Array,
     cb: Codebook,
@@ -406,13 +371,8 @@ def quantize(
         caches.append(cache)
 
     alloc = AllocationMap(counts=counts, cap=cap, indices=indices, weights=sel_weights)
-    per_patch_error = ((quantized - z) ** 2).sum(axis=1)
     return QuantizeOutput(
-        quantized=quantized,
-        alloc=alloc,
-        per_patch_error=per_patch_error,
-        usage_delta=usage_delta,
-        cache=caches,
+        quantized=quantized, alloc=alloc, usage_delta=usage_delta, cache=caches
     )
 
 

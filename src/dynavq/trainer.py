@@ -37,7 +37,7 @@ from dynavq.codebook import (
 )
 from dynavq.checkpoint import CheckpointData, load_checkpoint, save_checkpoint
 from dynavq.dataio import Dataset, gen_synthetic, load_manifest, split
-from dynavq.metrics import codebook_perplexity
+from dynavq.metrics import SSIM_WINDOW, codebook_perplexity
 from dynavq.pipeline import PARTS, SETTINGS, Model, check_settings, forward_image
 from dynavq.quantizer import QuantizeMode, commitment_loss, quantize_backward
 from dynavq.seeding import derive_seed
@@ -60,9 +60,9 @@ ADAM_EPS = 1e-8
 class TrainConfig:
     """Hyperparameters, loss weights, data recipe and output paths.
 
-    Holds the only defaults of the model's SETTINGS. ``pool`` is checked
-    (top_k <= pool <= primitives_per_sub) but changes no output: the
-    quantizer keeps the top-n of all codes.
+    Holds the only defaults of the model's SETTINGS. ``pool`` is only a
+    checked key (top_k <= pool <= primitives_per_sub) that nothing reads,
+    kept so that the benchmark's recipes and older configs still load.
     """
 
     total_steps: int = 1000
@@ -123,8 +123,9 @@ class TrainConfig:
         for name in ("lambda_rec", "lambda_dqp", "lambda_dpa"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if min(self.subcodebooks, self.primitives_per_sub, self.primitive_dim) < 1:
-            raise ValueError("codebook dimensions must be positive")
+        for name in ("subcodebooks", "primitives_per_sub", "primitive_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
         check_settings(self, self.primitives_per_sub)
         if not self.top_k <= self.pool <= self.primitives_per_sub:
             raise ValueError("pool must lie in [top_k, primitives_per_sub]")
@@ -134,15 +135,20 @@ class TrainConfig:
             raise ValueError("fixed_n must lie in [1, primitives_per_sub]")
         if self.image_size % self.patch_size:
             raise ValueError("image_size must be divisible by patch_size")
+        if self.image_size < SSIM_WINDOW:
+            raise ValueError(f"image_size must be at least the {SSIM_WINDOW}-pixel SSIM window")
         if self.hidden_dim < 1:
             raise ValueError("hidden_dim must be positive")
         if self.n_images < 2:
-            raise ValueError("need at least 2 images for a train/val split")
+            raise ValueError("n_images must be at least 2 for a train/val split")
         if not 0.0 < self.train_frac < 1.0:
             raise ValueError("train_frac must lie strictly between 0 and 1")
         mix = np.asarray(self.mix)
         if np.any(mix < 0) or abs(mix.sum() - 1.0) > 1e-9:
-            raise ValueError("mix fractions must be non-negative and sum to 1")
+            raise ValueError(
+                "mix_flat, mix_smooth, mix_texture and mix_noise must be "
+                "non-negative and sum to 1"
+            )
 
     def active_mode(self) -> QuantizeMode:
         if self.quantize_mode == "adaptive":

@@ -194,6 +194,20 @@ class TestRunCommand:
         assert status == 1
         assert f"manifest {manifest} line 1: " in captured.err
 
+    def test_an_empty_training_split_is_refused(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            CONFIG_SMALL.replace("n_images = 8", "n_images = 3"),
+            train_frac=0.2,
+            metrics_path=tmp_path / "metrics.csv",
+            checkpoint_path=tmp_path / "model.ckpt",
+        )
+        status = run_command(["train", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert "train_frac 0.2 of 3 items leaves the training split empty" in captured.err
+        assert not (tmp_path / "metrics.csv").exists()
+
     def test_a_non_utf8_config_names_its_file(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_bytes(b"seed = 1\n\xff\xfe\n")
@@ -229,6 +243,22 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert status == 1
         assert f"error: pgm {bad}: sample 200 exceeds maxval 100" in captured.err
+        assert not (tmp_path / "out.pgm").exists()
+
+    @pytest.mark.parametrize("command", ["reconstruct", "heatmap"])
+    def test_an_input_that_does_not_tile_is_named(self, tmp_path, capsys, command):
+        config = parse_config(write_config(tmp_path))
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, CheckpointData(model=init_state(config).model))
+        odd = tmp_path / "odd.pgm"
+        save_raster(np.zeros((6, 8)), odd)
+        status = run_command([
+            command, "--checkpoint", str(ckpt),
+            "--input", str(odd), "--output", str(tmp_path / "out.pgm"),
+        ])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert f"error: --input {odd}: a 6x8 image does not tile into 4x4 patches" in captured.err
         assert not (tmp_path / "out.pgm").exists()
 
     def test_train_eval_reconstruct_heatmap_roundtrip(self, tmp_path, capsys):

@@ -125,6 +125,12 @@ class TestSplit:
         with pytest.raises(ValueError, match="train_frac"):
             split(ds, 1.0, seed=0)
 
+    @pytest.mark.parametrize("count, frac", [(3, 0.2), (1, 0.8)])
+    def test_an_empty_training_half_is_refused(self, count, frac):
+        ds = gen_synthetic(count, 8, 4, (1, 0, 0, 0), seed=0)
+        with pytest.raises(ValueError, match=f"train_frac {frac} of {count} items"):
+            split(ds, frac, seed=0)
+
 
 class TestPgm:
     def test_roundtrip_bound(self, tmp_path):

@@ -224,7 +224,7 @@ class TestEvaluation:
         model, ds = setup
         points = rate_distortion(model, ds, [1, 2, 4])
         assert len(points) == 4
-        assert points[-1].forced_n == "adaptive"
+        assert [p.mean_count for p in points[:3]] == [1.0, 2.0, 4.0]
         assert 1.0 <= points[-1].mean_count <= model.top_k
 
     def test_forced_one_bitmatches_top1_eval(self, setup):
@@ -256,20 +256,10 @@ class TestEvaluation:
         model, ds = setup
         stats = evaluate_reconstruction(model, ds)
         path = tmp_path / "report.csv"
-        write_eval_report(
-            path,
-            [{
-                "setting": "adaptive",
-                "mean_mse": stats.mean_mse,
-                "psnr": stats.mean_psnr,
-                "ssim": stats.mean_ssim,
-                "mean_count": stats.mean_count,
-                "perplexity": stats.perplexity,
-            }],
-        )
+        write_eval_report(path, ["adaptive"], [stats])
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("setting,mean_mse")
-        assert lines[1].startswith("adaptive,")
+        assert lines[1].startswith(f"adaptive,{stats.mean_mse!r},{stats.mean_psnr!r},")
 
 
 def test_forward_image_shapes():

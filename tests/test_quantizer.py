@@ -11,7 +11,6 @@ from dynavq.quantizer import (
     commitment_loss,
     quantize,
     quantize_backward,
-    quantize_chunk,
 )
 
 from oracle_helpers import oracle_quantize_chunk
@@ -22,18 +21,26 @@ def make_codebook(entries):
     return Codebook(arr, np.zeros(arr.shape[:2], dtype=np.uint64))
 
 
+def quantize_row(row, sub_cb, n, **kwargs):
+    """One chunk row against one sub-codebook, through ``quantize`` in
+    fixed mode: (output, indices by descending similarity, weights)."""
+    out = quantize(np.asarray(row, dtype=np.float64)[None], make_codebook([sub_cb]),
+                   None, QuantizeMode.fixed_top_n(n), **kwargs)
+    return out.quantized[0], out.alloc.indices[0, 0], out.alloc.weights[0, 0]
+
+
 class TestQuantizeChunk:
     def test_nearest_neighbor_limit(self):
         sub_cb = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
-        out, idx, weights = quantize_chunk(np.array([0.0, 2.0]), sub_cb, n=1, pool=3)
+        out, idx, weights = quantize_row(np.array([0.0, 2.0]), sub_cb, n=1)
         assert idx.tolist() == [1]
         assert weights.tolist() == [1.0]
         assert np.array_equal(out, sub_cb[1])
 
     def test_hand_example(self):
         sub_cb = np.array([[1.0, 0.0], [0.0, 1.0]])
-        out, idx, weights = quantize_chunk(
-            np.array([0.9, 0.1]), sub_cb, n=2, pool=2, temperature=1.0
+        out, idx, weights = quantize_row(
+            np.array([0.9, 0.1]), sub_cb, n=2, temperature=1.0
         )
         assert idx.tolist() == [0, 1]
         assert weights == pytest.approx([0.7076, 0.2924], abs=1e-4)
@@ -48,16 +55,16 @@ class TestQuantizeChunk:
         rng = np.random.default_rng(5)
         sub_cb = rng.normal(size=(6, 3))
         row = rng.normal(size=3)
-        out, idx, weights = quantize_chunk(row, sub_cb, n=6, pool=6)
+        out, idx, weights = quantize_row(row, sub_cb, n=6)
         assert sorted(idx.tolist()) == list(range(6))
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(out, weights @ sub_cb[idx], atol=1e-12)
 
     def test_bad_n(self):
-        with pytest.raises(ValueError):
-            quantize_chunk(np.zeros(2), np.zeros((3, 2)), n=0, pool=2)
-        with pytest.raises(ValueError):
-            quantize_chunk(np.zeros(2), np.zeros((3, 2)), n=3, pool=2)
+        with pytest.raises(ValueError, match="at least 1"):
+            quantize_row(np.zeros(2), np.zeros((3, 2)), n=0)
+        with pytest.raises(ValueError, match="fixed count 4 exceeds"):
+            quantize_row(np.zeros(2), np.zeros((3, 2)), n=4)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_subset_enumeration_oracle(self, seed):
@@ -67,7 +74,7 @@ class TestQuantizeChunk:
         n = int(rng.integers(1, min(3, num_codes) + 1))
         sub_cb = rng.normal(size=(num_codes, dim))
         row = rng.normal(size=dim)
-        out, idx, weights = quantize_chunk(row, sub_cb, n=n, pool=num_codes)
+        out, idx, weights = quantize_row(row, sub_cb, n=n)
         o_out, o_idx, o_w = oracle_quantize_chunk(row, sub_cb, n)
         assert idx.tolist() == o_idx
         assert np.allclose(weights, o_w, atol=1e-12)
@@ -75,7 +82,7 @@ class TestQuantizeChunk:
 
     def test_tie_by_index(self):
         sub_cb = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])  # codes 0,1 parallel
-        _, idx, _ = quantize_chunk(np.array([1.0, 0.0]), sub_cb, n=1, pool=3)
+        _, idx, _ = quantize_row(np.array([1.0, 0.0]), sub_cb, n=1)
         assert idx.tolist() == [0]
 
 
@@ -93,30 +100,28 @@ class TestQuantize:
         rows = np.concatenate([cb.entries[0][[0, 2]], cb.entries[1][[1, 3]]], axis=1)
         out = quantize(rows, cb, None, QuantizeMode.top1())
         assert np.allclose(out.quantized, rows, atol=1e-12)
-        assert np.allclose(out.per_patch_error, 0.0, atol=1e-12)
 
-    def test_composition_matches_quantize_chunk(self):
+    def test_composition_matches_single_rows(self):
         sub_cb = np.array([[1.0, 0.0], [0.0, 1.0]])
         cb = make_codebook([sub_cb])
         z = np.array([[0.9, 0.1], [0.2, 0.8]])
         out = quantize(z, cb, None, QuantizeMode.fixed_top_n(2))
         for i in range(2):
-            expected, _, _ = quantize_chunk(z[i], sub_cb, n=2, pool=2)
+            expected, _, _ = quantize_row(z[i], sub_cb, n=2)
             assert np.allclose(out.quantized[i], expected, atol=1e-12)
 
     def test_adaptive_k1_bitmatches_top1(self):
         cb_a = init_codebook(3, 8, 2, seed=9)
-        cb_b = cb_a.copy()
+        cb_b = init_codebook(3, 8, 2, seed=9)
         z = np.random.default_rng(4).normal(size=(6, 6))
         ratios = np.random.default_rng(5).uniform(0.01, 0.99, size=6)
         out_a = quantize(z, cb_a, ratios, QuantizeMode.adaptive(1))
         out_b = quantize(z, cb_b, None, QuantizeMode.top1())
         assert np.array_equal(out_a.quantized, out_b.quantized)
-        assert np.array_equal(out_a.per_patch_error, out_b.per_patch_error)
 
     def test_fixed_full_ignores_ratios(self):
         cb_a = init_codebook(2, 4, 2, seed=1)
-        cb_b = cb_a.copy()
+        cb_b = init_codebook(2, 4, 2, seed=1)
         z = np.random.default_rng(6).normal(size=(4, 4))
         out_a = quantize(z, cb_a, None, QuantizeMode.fixed_top_n(4))
         out_b = quantize(z, cb_b, np.full(4, 0.123), QuantizeMode.fixed_top_n(4))
@@ -138,7 +143,7 @@ class TestQuantize:
 
     def test_usage_counts_increment(self):
         cb = init_codebook(1, 4, 2, seed=0)
-        untouched = cb.copy()
+        untouched = init_codebook(1, 4, 2, seed=0)
         z = np.random.default_rng(1).normal(size=(6, 2))
         out = quantize(z, cb, None, QuantizeMode.fixed_top_n(2))
         assert out.usage_delta.sum() == 12  # 6 patches x 2 picks
@@ -202,7 +207,7 @@ class TestQuantizeBackward:
         cb = make_codebook(np.random.default_rng(4).normal(size=(2, 5, 3)))
         z = np.random.default_rng(5).normal(size=(3, 6))
         z[1] = 0.0
-        out = quantize(z, cb.copy(), None, QuantizeMode.fixed_top_n(3),
+        out = quantize(z, cb, None, QuantizeMode.fixed_top_n(3),
                        weighting="linear")
         assert np.all(out.alloc.weights[:, 1] == 1.0 / 3.0)
         coeff = np.random.default_rng(6).normal(size=z.shape)
@@ -213,7 +218,7 @@ class TestQuantizeBackward:
             for i, w in zip(out.alloc.indices[j, 1], out.alloc.weights[j, 1]):
                 expect[j, i] += w * coeff[1, j * 3:(j + 1) * 3]
         z_rest = np.delete(z, 1, axis=0)
-        rest = quantize(z_rest, cb.copy(), None, QuantizeMode.fixed_top_n(3),
+        rest = quantize(z_rest, cb, None, QuantizeMode.fixed_top_n(3),
                         weighting="linear")
         d_rest = quantize_backward(np.delete(coeff, 1, axis=0), rest.cache, cb)
         np.testing.assert_allclose(d_entries, d_rest + expect, rtol=1e-12, atol=1e-15)
@@ -268,13 +273,11 @@ def test_grouping_changes_no_bit(rows, codes, mode_name, weighting):
         run(z[:, c], make_codebook(cb.entries[j:j + 1]), coeff[:, c])
         for j, c in enumerate(cols)
     ]
-    quantized = np.concatenate([out.quantized for out, _ in parts], axis=1)
     expect = {
-        "quantized": quantized,
+        "quantized": np.concatenate([out.quantized for out, _ in parts], axis=1),
         "indices": np.concatenate([out.alloc.indices for out, _ in parts]),
         "weights": np.concatenate([out.alloc.weights for out, _ in parts]),
         "usage_delta": np.concatenate([out.usage_delta for out, _ in parts]),
-        "per_patch_error": ((quantized - z) ** 2).sum(axis=1),
         "d_entries": np.concatenate([d for _, d in parts]),
     }
     got = {
@@ -282,7 +285,6 @@ def test_grouping_changes_no_bit(rows, codes, mode_name, weighting):
         "indices": whole.alloc.indices,
         "weights": whole.alloc.weights,
         "usage_delta": whole.usage_delta,
-        "per_patch_error": whole.per_patch_error,
         "d_entries": d_entries,
     }
     for key, value in expect.items():
