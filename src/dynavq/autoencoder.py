@@ -39,19 +39,24 @@ def patchify(image: Array, patch: int) -> Array:
 
 
 def unpatchify(patches: Array, height: int, width: int, patch: int) -> Array:
-    """Inverse of patchify for the given output dimensions."""
+    """Inverse of patchify for the given output dimensions.
+
+    Leading axes are kept: an (n, rows * cols, patch^2) stack of patch
+    matrices gives an (n, height, width) stack of images.
+    """
     p = np.asarray(patches, dtype=np.float64)
     rows = height // patch
     cols = width // patch
-    if height % patch or width % patch or p.shape != (rows * cols, patch * patch):
+    lead = p.shape[:-2]
+    if height % patch or width % patch or p.shape[-2:] != (rows * cols, patch * patch):
         raise ValueError(
             f"patch matrix {p.shape} does not tile a {height}x{width} image "
             f"with patch {patch}"
         )
     return (
-        p.reshape(rows, cols, patch, patch)
-        .transpose(0, 2, 1, 3)
-        .reshape(height, width)
+        p.reshape(*lead, rows, cols, patch, patch)
+        .swapaxes(-3, -2)
+        .reshape(*lead, height, width)
     )
 
 

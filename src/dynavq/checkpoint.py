@@ -14,7 +14,8 @@ SETTINGS. Format 1 has no digest and one more meta entry, the inert
 A save writes a temporary file in the target's directory and renames it
 into place, so the target is never left half written; a failed write or
 rename removes the temporary file. Loading a truncated, corrupted or
-malformed file raises CheckpointError naming the path.
+malformed file raises CheckpointError naming the path; parse_checkpoint
+does the same for bytes already in memory and the name they came from.
 """
 
 from __future__ import annotations
@@ -181,13 +182,18 @@ def save_checkpoint(path, data: CheckpointData) -> None:
 def load_checkpoint(path) -> CheckpointData:
     """Read a checkpoint of format 1 or 2; a truncated, corrupted or
     malformed file raises CheckpointError naming the path."""
-    raw = Path(path).read_bytes()
+    return parse_checkpoint(Path(path).read_bytes(), path)
+
+
+def parse_checkpoint(raw: bytes, name) -> CheckpointData:
+    """The checkpoint held in ``raw``; a truncated, corrupted or malformed
+    one raises CheckpointError naming ``name``, its file."""
     try:
         return _parse(raw)
     except CheckpointError as err:
-        raise CheckpointError(f"{path}: {err}") from None
+        raise CheckpointError(f"{name}: {err}") from None
     except (ValueError, KeyError, TypeError, IndexError) as err:
-        raise CheckpointError(f"{path}: malformed checkpoint: {err!r}") from err
+        raise CheckpointError(f"{name}: malformed checkpoint: {err!r}") from err
 
 
 def _parse(raw: bytes) -> CheckpointData:

@@ -6,20 +6,22 @@ heatmaps, Spearman correlation between allocation and ground-truth patch
 complexity, and the centroid similarity matrix.
 
 Dataset evaluation runs the pipeline over chunks of consecutive images,
-one forward pass per chunk of at most ``EVAL_ROWS`` patch rows, and takes
-each image's metrics from its slice of the chunk. SSIM reduces all of an
-image's windows at once.
+one forward pass per chunk of at most ``EVAL_ROWS`` patch rows, and
+scores each run of equal-shaped images in a chunk as one stack. PSNR and
+SSIM take stacks: leading axes give one value per image, equal bit for
+bit to scoring that image alone. SSIM reduces all windows at once.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Union
+from itertools import groupby
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from dynavq.autoencoder import reconstruction_loss, unpatchify
+from dynavq.autoencoder import unpatchify
 from dynavq.codebook import Codebook, centroids
 from dynavq.dataio import Dataset, LabeledImage, save_raster
 from dynavq.numerics import Array, cosine_similarity_matrix
@@ -40,16 +42,34 @@ SSIM_WINDOW = 8
 EVAL_ROWS = 512
 
 
-def psnr(a: Array, b: Array, max_val: float = 1.0) -> float:
-    """Peak signal-to-noise ratio in dB; identical images give the cap."""
+def _image_pair(a: Array, b: Array) -> Tuple[np.ndarray, np.ndarray]:
+    """Two images, or two stacks of images on the last two axes, of equal
+    shape as float64 arrays."""
     x = np.asarray(a, dtype=np.float64)
     y = np.asarray(b, dtype=np.float64)
     if x.shape != y.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    mse = float(np.mean((x - y) ** 2))
-    if mse == 0.0:
-        return PSNR_CAP_DB
-    return float(10.0 * np.log10(max_val * max_val / mse))
+    if x.ndim < 2:
+        raise ValueError(f"images must be 2-D, got shape {x.shape}")
+    return x, y
+
+
+def _per_image(values: np.ndarray) -> Union[float, np.ndarray]:
+    """A float for one image, the array for a stack."""
+    return float(values) if values.ndim == 0 else values
+
+
+def psnr(a: Array, b: Array, max_val: float = 1.0) -> Union[float, np.ndarray]:
+    """Peak signal-to-noise ratio in dB; identical images give the cap.
+
+    A pair of (H, W) images gives a float; leading axes give one value per
+    image, equal bit for bit to scoring each image alone.
+    """
+    x, y = _image_pair(a, b)
+    mse = np.mean((x - y) ** 2, axis=(-2, -1))
+    with np.errstate(divide="ignore"):
+        db = 10.0 * np.log10(max_val * max_val / mse)
+    return _per_image(np.where(mse == 0.0, PSNR_CAP_DB, db))
 
 
 def ssim(
@@ -58,45 +78,45 @@ def ssim(
     window: int = SSIM_WINDOW,
     k1: float = 0.01,
     k2: float = 0.03,
-) -> float:
+) -> Union[float, np.ndarray]:
     """Mean structural similarity over non-overlapping windows.
 
     Uses the standard luminance/contrast/structure product per window with
     population statistics and dynamic range 1. Ragged edge pixels beyond
     the last full window are ignored. Every window is reduced at once: the
-    image is reshaped to (window rows, window cols, window^2 pixels).
+    images are reshaped to (window rows, window cols, window^2 pixels).
+    A pair of (H, W) images gives a float; leading axes give one value per
+    image, equal bit for bit to scoring each image alone.
     """
-    x = np.asarray(a, dtype=np.float64)
-    y = np.asarray(b, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    if x.ndim != 2 or x.shape[0] < window or x.shape[1] < window:
+    x, y = _image_pair(a, b)
+    if x.shape[-2] < window or x.shape[-1] < window:
         raise ValueError(f"images must be at least {window}x{window}")
     c1 = (k1 * 1.0) ** 2
     c2 = (k2 * 1.0) ** 2
-    rows = x.shape[0] // window
-    cols = x.shape[1] // window
+    lead = x.shape[:-2]
+    rows = x.shape[-2] // window
+    cols = x.shape[-1] // window
 
     def windows(img: np.ndarray) -> np.ndarray:
         return (
-            img[:rows * window, :cols * window]
-            .reshape(rows, window, cols, window)
-            .swapaxes(1, 2)
-            .reshape(rows, cols, window * window)
+            img[..., :rows * window, :cols * window]
+            .reshape(*lead, rows, window, cols, window)
+            .swapaxes(-3, -2)
+            .reshape(*lead, rows, cols, window * window)
         )
 
     wa = windows(x)
     wb = windows(y)
-    mu_a = wa.mean(axis=2)
-    mu_b = wb.mean(axis=2)
+    mu_a = wa.mean(axis=-1)
+    mu_b = wb.mean(axis=-1)
     da = wa - mu_a[..., None]
     db = wb - mu_b[..., None]
-    var_a = (da ** 2).mean(axis=2)
-    var_b = (db ** 2).mean(axis=2)
-    cov = (da * db).mean(axis=2)
+    var_a = (da ** 2).mean(axis=-1)
+    var_b = (db ** 2).mean(axis=-1)
+    cov = (da * db).mean(axis=-1)
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
     den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
-    return float(np.mean(num / den))
+    return _per_image(np.mean(num / den, axis=(-2, -1)))
 
 
 def codebook_perplexity(usage_counts: Array) -> Union[float, np.ndarray]:
@@ -228,6 +248,16 @@ def _chunks(items: Sequence[LabeledImage], patch: int) -> Iterator[List[LabeledI
         yield chunk
 
 
+def _stack_scores(
+    image: np.ndarray, recon: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """MSE before the [0, 1] clamp, and PSNR and SSIM after it, one value
+    per image of an (n, H, W) stack."""
+    diff = recon - image
+    clamped = np.clip(recon, 0.0, 1.0)
+    return np.mean(diff * diff, axis=(-2, -1)), psnr(image, clamped), ssim(image, clamped)
+
+
 def evaluate_reconstruction(
     model: Model, dataset: Dataset, mode: Optional[QuantizeMode] = None
 ) -> EvalStats:
@@ -236,34 +266,43 @@ def evaluate_reconstruction(
     Consecutive images share one forward pass, up to EVAL_ROWS patch rows
     per pass (one desk training batch, so memory stays bounded on any
     dataset). Rows are quantized independently, so the chunking changes
-    no result beyond float64 rounding. Each image's MSE, PSNR and SSIM
-    come from its slice of the pass. MSE is measured pre-clamp (training
-    semantics); PSNR/SSIM are measured on outputs clamped to [0, 1]
-    (export semantics).
+    no result beyond float64 rounding. Each run of equal-shaped images in
+    a chunk is scored as one (n, H, W) stack, cut from the pass's input
+    and output patch rows: MSE, PSNR and SSIM are computed once per stack
+    and give each image the value it would get alone, bit for bit. MSE is
+    measured pre-clamp (training semantics); PSNR/SSIM are measured on
+    outputs clamped to [0, 1] (export semantics).
     """
-    if len(dataset.items) == 0:
+    items = dataset.items
+    if len(items) == 0:
         raise ValueError("dataset is empty")
     if mode is None:
         mode = model.adaptive_mode()
     p = model.patch_size
-    mses: List[float] = []
-    psnrs: List[float] = []
-    ssims: List[float] = []
+    mses = np.empty(len(items))
+    psnrs = np.empty(len(items))
+    ssims = np.empty(len(items))
     all_counts: List[np.ndarray] = []
     usage = np.zeros_like(model.codebook.usage_counts, dtype=np.float64)
-    for chunk in _chunks(dataset.items, p):
+    done = 0
+    for chunk in _chunks(items, p):
         result = forward_image(model, [item.image for item in chunk], mode)
-        for item, start, stop in zip(chunk, result.offsets[:-1], result.offsets[1:]):
-            h, w = item.image.shape
-            recon = unpatchify(result.recon_patches[start:stop], h, w, p)
-            mses.append(reconstruction_loss(item.image, recon)[0])
-            clamped = np.clip(recon, 0.0, 1.0)
-            psnrs.append(psnr(item.image, clamped))
-            ssims.append(ssim(item.image, clamped))
+        row = 0
+        for (h, w), run in groupby(item.image.shape for item in chunk):
+            n = len(list(run))
+            per_image = (h // p) * (w // p)
+            rows = slice(row, row + n * per_image)
+            stack = (n, per_image, p * p)
+            image = unpatchify(result.patches[rows].reshape(stack), h, w, p)
+            recon = unpatchify(result.recon_patches[rows].reshape(stack), h, w, p)
+            scored = slice(done, done + n)
+            mses[scored], psnrs[scored], ssims[scored] = _stack_scores(image, recon)
+            row = rows.stop
+            done += n
         all_counts.append(result.quant.alloc.counts)
         usage += result.quant.usage_delta
     counts = np.concatenate(all_counts)
-    labels = np.concatenate([item.patch_labels.reshape(-1) for item in dataset.items])
+    labels = np.concatenate([item.patch_labels for item in items], axis=None)
     return EvalStats(
         mean_mse=float(np.mean(mses)),
         mean_psnr=float(np.mean(psnrs)),

@@ -263,8 +263,9 @@ def build_datasets(config: TrainConfig) -> Tuple[Dataset, Dataset]:
     A synthetic recipe is generated once per process: its image and label
     arrays are read-only and shared by every call, and each call gets new
     Dataset objects with their own item lists. A manifest is read on every
-    call, since its files can change, and its patches must be
-    ``config.patch_size`` pixels wide.
+    call, since its files can change; its patches must be
+    ``config.patch_size`` pixels wide, and its images at least as wide and
+    tall as the SSIM window.
     """
     if config.data_source == "synthetic":
         # repr is the text Dataset.recipe records
@@ -275,8 +276,15 @@ def build_datasets(config: TrainConfig) -> Tuple[Dataset, Dataset]:
         )
     else:
         ds = load_manifest(config.data_source)
-        for item in ds.items:
-            tile = item.image.shape[0] // item.patch_labels.shape[0]
+        for number, item in enumerate(ds.items, start=1):
+            h, w = item.image.shape
+            if h < SSIM_WINDOW or w < SSIM_WINDOW:
+                raise ValueError(
+                    f"manifest {config.data_source} item {number}: a {h}x{w} "
+                    f"image is smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} "
+                    "SSIM window"
+                )
+            tile = h // item.patch_labels.shape[0]
             if tile != config.patch_size:
                 raise ValueError(
                     f"manifest {config.data_source} labels {tile}-pixel patches, "
@@ -451,7 +459,10 @@ def run_training(
     at the end. ``resume_from`` continues a run from a saved checkpoint;
     because batches are derived from (seed, step), the resumed trajectory
     matches the uninterrupted one exactly. ``observer`` is called after
-    each step with (step, metrics row, raw per-patch arrays).
+    each step with (step, metrics row, raw per-patch arrays). A step that
+    raises RuntimeError (a non-finite loss) saves the state before it to
+    ``<checkpoint_path>.abort``, and the RuntimeError is raised again
+    naming the step and that file.
 
     Returns (final checkpoint path, metrics path).
     """
@@ -477,11 +488,13 @@ def run_training(
             batch = _batch_images(train, config, step)
             try:
                 state, row, raw = train_step(state, batch)
-            except RuntimeError:
-                save_checkpoint(
-                    str(final_path) + ".abort", _to_checkpoint(state)
-                )
-                raise
+            except RuntimeError as err:
+                abort = str(final_path) + ".abort"
+                save_checkpoint(abort, _to_checkpoint(state))
+                raise RuntimeError(
+                    f"step {step}: {err}; the state before this step is saved "
+                    f"in {abort}"
+                ) from err
             fh.write(_format_row(row) + "\n")
             if observer is not None:
                 observer(step, row, raw)

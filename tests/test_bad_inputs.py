@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynavq.checkpoint import load_checkpoint
 from dynavq.cli import ConfigError, parse_config, run_command
 from dynavq.dataio import ManifestError, PgmError, load_manifest, load_raster, save_raster
 from dynavq.trainer import FIELD_TYPES, TrainConfig
@@ -375,3 +376,21 @@ def test_every_bad_config_value_is_named(cli_inputs, key):
             assert status in (0, 1), (value, line[0], message)
             if status == 1:
                 assert key in message, (value, line[0], message)
+
+
+def test_a_diverging_run_names_the_step_and_its_abort_checkpoint(workdir):
+    """A learning rate that overflows the parameters ends in exit 1 naming
+    the failing step and the abort checkpoint, which loads."""
+    work = Path(tempfile.mkdtemp(dir=workdir))
+    config = work / "run.cfg"
+    outputs = {"metrics_path": work / "m.csv", "checkpoint_path": work / "c.ckpt"}
+    config.write_text(config_text({**TINY, "learning_rate": "1e300", **outputs}))
+    with np.errstate(all="ignore"):
+        status, message = run_quietly(["train", "--config", str(config)])
+    abort = work / "c.ckpt.abort"
+    assert status == 1
+    assert (
+        "step 1: non-finite loss component: rec; the state before this step "
+        f"is saved in {abort}"
+    ) in message
+    assert load_checkpoint(abort).step == 1

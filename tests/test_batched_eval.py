@@ -6,9 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_eval import reference_evaluate, reference_ssim
+from reference_eval import (
+    image_ssim,
+    reference_evaluate,
+    reference_psnr,
+    reference_scores,
+    reference_ssim,
+)
 
 from dynavq import metrics
+from dynavq.autoencoder import reconstruction_loss
 from dynavq.checkpoint import load_checkpoint
 from dynavq.dataio import Dataset, gen_synthetic
 from dynavq.quantizer import QuantizeMode
@@ -85,6 +92,18 @@ def test_chunked_eval_matches_per_image_eval(trained, name, mode):
         )
 
 
+@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize("name", sorted(DATASETS))
+def test_stacked_scores_equal_per_image_scores(trained, name, mode):
+    """Scoring each run of equal-shaped images as one stack gives the
+    per-image means bit for bit, over the same chunked forward pass."""
+    model, val = trained
+    dataset = DATASETS[name][0](val)
+    got = metrics.evaluate_reconstruction(model, dataset, MODES[mode])
+    want = reference_scores(model, dataset, MODES[mode])
+    assert (got.mean_mse, got.mean_psnr, got.mean_ssim) == want
+
+
 @pytest.mark.parametrize("name", sorted(DATASETS))
 def test_chunks_hold_at_most_eval_rows(trained, name, monkeypatch):
     model, val = trained
@@ -119,3 +138,56 @@ def test_vectorized_ssim_matches_window_loop(window, height, width, seed, noise)
     want = reference_ssim(a, b, window=window)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
     assert metrics.ssim(a, a, window=window) == 1.0
+
+
+def image_stacks(n, window, height, width, seed, noise, exact):
+    """Two (n, H, W) stacks in [0, 1], at least ``window`` on each side,
+    equal in image ``exact % n``."""
+    shape = (n, max(height, window), max(width, window))
+    rng = np.random.default_rng(seed)
+    a = rng.random(shape)
+    b = a + noise * rng.normal(size=shape)
+    b[exact % n] = a[exact % n]
+    return a, b
+
+
+STACKS = dict(
+    n=st.integers(1, 5),
+    height=st.integers(0, 40),
+    width=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+    noise=st.sampled_from([0.01, 0.3, 1.0]),
+    exact=st.integers(0, 4),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(window=st.integers(1, 8), **STACKS)
+def test_stacked_psnr_and_ssim_equal_per_image_values(
+    n, window, height, width, seed, noise, exact
+):
+    """Leading axes give each image the value it gets alone, bit for bit;
+    ragged edges included, and a zero-MSE image gets the PSNR cap."""
+    a, b = image_stacks(n, window, height, width, seed, noise, exact)
+    b = np.clip(b, 0.0, 1.0)
+    got = metrics.psnr(a, b)
+    assert np.array_equal(got, [reference_psnr(x, y) for x, y in zip(a, b)])
+    assert got[exact % n] == metrics.PSNR_CAP_DB
+    got = metrics.ssim(a, b, window=window)
+    assert np.array_equal(got, [image_ssim(x, y, window=window) for x, y in zip(a, b)])
+    assert got[exact % n] == 1.0
+    assert metrics.psnr(a[0], b[0]) == reference_psnr(a[0], b[0])
+    assert metrics.ssim(a[0], b[0], window=window) == image_ssim(a[0], b[0], window=window)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(**STACKS)
+def test_stack_scores_equal_per_image_scores(n, height, width, seed, noise, exact):
+    """The evaluation's MSE before the clamp, and PSNR and SSIM after it,
+    of each image of a stack equal the per-image scorer's values."""
+    image, recon = image_stacks(n, metrics.SSIM_WINDOW, height, width, seed, noise, exact)
+    mse, psnr, ssim = metrics._stack_scores(image, recon)
+    clamped = np.clip(recon, 0.0, 1.0)
+    assert np.array_equal(mse, [reconstruction_loss(x, y)[0] for x, y in zip(image, recon)])
+    assert np.array_equal(psnr, [reference_psnr(x, y) for x, y in zip(image, clamped)])
+    assert np.array_equal(ssim, [image_ssim(x, y) for x, y in zip(image, clamped)])

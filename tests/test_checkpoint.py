@@ -13,6 +13,7 @@ from dynavq.checkpoint import (
     CheckpointData,
     CheckpointError,
     load_checkpoint,
+    parse_checkpoint,
     save_checkpoint,
 )
 from dynavq.codebook import init_codebook
@@ -163,13 +164,16 @@ class TestErrors:
             load_checkpoint(path)
 
     def test_every_truncation_raises_checkpoint_error(self, tmp_path):
+        """Every cut is parsed in memory; one is written and loaded."""
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, CheckpointData(model=make_model()))
         raw = path.read_bytes()
         for cut in range(len(raw)):
-            path.write_bytes(raw[:cut])
             with pytest.raises(CheckpointError, match="m.ckpt"):
-                load_checkpoint(path)
+                parse_checkpoint(raw[:cut], path)
+        path.write_bytes(raw[:len(raw) // 2])
+        with pytest.raises(CheckpointError, match="m.ckpt"):
+            load_checkpoint(path)
 
     def test_bad_weighting_byte_raises_checkpoint_error(self, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -183,13 +187,20 @@ class TestErrors:
             load_checkpoint(path)
 
     def test_every_byte_flip_raises_checkpoint_error(self, tmp_path):
+        """Every flip is parsed in memory; one is written and loaded."""
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, CheckpointData(model=make_model()))
         raw = path.read_bytes()
+
+        def flipped(at):
+            return raw[:at] + bytes([raw[at] ^ 0xFF]) + raw[at + 1:]
+
         for at in range(len(raw)):
-            path.write_bytes(raw[:at] + bytes([raw[at] ^ 0xFF]) + raw[at + 1:])
             with pytest.raises(CheckpointError, match="m.ckpt"):
-                load_checkpoint(path)
+                parse_checkpoint(flipped(at), path)
+        path.write_bytes(flipped(len(raw) // 2))
+        with pytest.raises(CheckpointError, match="m.ckpt"):
+            load_checkpoint(path)
 
 
 @pytest.mark.parametrize(

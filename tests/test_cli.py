@@ -3,7 +3,7 @@ import pytest
 
 from dynavq.checkpoint import CheckpointData, load_checkpoint, save_checkpoint
 from dynavq.cli import ConfigError, parse_config, run_command
-from dynavq.dataio import load_raster, save_raster
+from dynavq.dataio import export_dataset, gen_synthetic, load_raster, save_raster
 from dynavq.metrics import evaluate_reconstruction
 from dynavq.seeding import derive_seed
 from dynavq.trainer import build_datasets, init_state
@@ -25,6 +25,8 @@ hidden_dim = 8
 n_images = 8
 seed = 3
 """
+
+MIX = (0.25, 0.25, 0.25, 0.25)
 
 
 def write_config(tmp_path, body=CONFIG_SMALL, **extra):
@@ -193,6 +195,39 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert status == 1
         assert f"manifest {manifest} line 1: " in captured.err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_a_manifest_of_images_below_the_ssim_window_is_refused(
+        self, tmp_path, capsys, command
+    ):
+        cfg = write_config(
+            tmp_path,
+            metrics_path=tmp_path / "metrics.csv",
+            checkpoint_path=tmp_path / "model.ckpt",
+        )
+        assert run_command(["train", "--config", str(cfg)]) == 0
+        manifest = export_dataset(gen_synthetic(4, 4, 4, MIX, seed=5), tmp_path / "tiny")
+        small = write_config(
+            tmp_path,
+            data_source=manifest,
+            metrics_path=tmp_path / "small.csv",
+            checkpoint_path=tmp_path / "small.ckpt",
+        )
+        capsys.readouterr()
+        argv = {
+            "train": ["train", "--config", str(small)],
+            "eval": ["eval", "--checkpoint", str(tmp_path / "model.ckpt"),
+                     "--config", str(small), "--out", str(tmp_path / "report.csv")],
+        }[command]
+        status = run_command(argv)
+        captured = capsys.readouterr()
+        assert status == 1
+        assert (
+            f"manifest {manifest} item 1: a 4x4 image is smaller than the 8x8 "
+            "SSIM window" in captured.err
+        )
+        assert not (tmp_path / "small.csv").exists()
+        assert not (tmp_path / "report.csv").exists()
 
     def test_an_empty_training_split_is_refused(self, tmp_path, capsys):
         cfg = write_config(
