@@ -56,23 +56,18 @@ class AllocatorParams:
         return self.conv1_w.shape[0]
 
 
-def init_allocator(
-    embed_dim: int,
-    seed: int,
-    hidden: int | None = None,
-    kernel1: int = 3,
-    kernel2: int = 3,
-) -> AllocatorParams:
-    """Allocator with uniform(+-1/sqrt(fan_in)) weights; hidden defaults to embed_dim/2."""
+def init_allocator(embed_dim: int, seed: int, hidden: int | None = None) -> AllocatorParams:
+    """Allocator with width-3 kernels and uniform(+-1/sqrt(fan_in))
+    weights; hidden defaults to embed_dim/2."""
     if hidden is None:
         hidden = max(1, embed_dim // 2)
     rng = np.random.default_rng(seed)
-    bound1 = 1.0 / np.sqrt(embed_dim * kernel1)
-    bound2 = 1.0 / np.sqrt(hidden * kernel2)
+    bound1 = 1.0 / np.sqrt(embed_dim * 3)
+    bound2 = 1.0 / np.sqrt(hidden * 3)
     return AllocatorParams(
-        conv1_w=rng.uniform(-bound1, bound1, size=(hidden, embed_dim, kernel1)),
+        conv1_w=rng.uniform(-bound1, bound1, size=(hidden, embed_dim, 3)),
         conv1_b=np.zeros(hidden),
-        conv2_w=rng.uniform(-bound2, bound2, size=(1, hidden, kernel2)),
+        conv2_w=rng.uniform(-bound2, bound2, size=(1, hidden, 3)),
         conv2_b=np.zeros(1),
     )
 

@@ -14,7 +14,7 @@ import dataclasses
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from dynavq.checkpoint import load_checkpoint
 from dynavq.dataio import load_raster, save_raster
 from dynavq.gradsuite import run_suite
 from dynavq.metrics import (
+    EvalStats,
     allocation_heatmap,
     centroid_similarity_matrix,
     evaluate_reconstruction,
@@ -188,84 +189,69 @@ def _cmd_gradcheck(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _run_variant(config: TrainConfig, workdir: Path, tag: str, **overrides) -> Path:
-    cfg = replace(
-        config,
-        metrics_path=str(workdir / f"{tag}_metrics.csv"),
-        checkpoint_path=str(workdir / f"{tag}.ckpt"),
-        **overrides,
-    )
-    ckpt, _ = run_training(cfg)
-    return ckpt
+class Ablation(NamedTuple):
+    """An ablation command: its help text, its report columns after
+    ``setting``, and its variants of a config as (setting, config
+    overrides, evaluation mode)."""
+
+    help: str
+    columns: Tuple[str, ...]
+    variants: Callable[[TrainConfig], List[Tuple[str, dict, QuantizeMode]]]
 
 
-def _val_stats(config: TrainConfig, ckpt: Path, mode: QuantizeMode):
-    _, val = build_datasets(config)
-    return evaluate_reconstruction(load_checkpoint(ckpt).model, val, mode)
+ABLATIONS: Dict[str, Ablation] = {
+    "ablate-warmup": Ablation(
+        "train with and without warm-up",
+        ("warmup_fraction", "val_mse", "psnr", "ssim", "mean_count"),
+        lambda c: [("with_warmup", dict(warmup_fraction=c.warmup_fraction),
+                    QuantizeMode.adaptive(c.top_k)),
+                   ("no_warmup", dict(warmup_fraction=0.0), QuantizeMode.adaptive(c.top_k))],
+    ),
+    "ablate-topk": Ablation(
+        "train top1 / fixed / adaptive variants",
+        ("val_mse", "psnr", "ssim", "mean_count"),
+        lambda c: [("top1", dict(quantize_mode="top1"), QuantizeMode.top1()),
+                   ("fixed_top_n", dict(quantize_mode="fixed"),
+                    QuantizeMode.fixed_top_n(c.fixed_n)),
+                   ("adaptive", dict(quantize_mode="adaptive"), QuantizeMode.adaptive(c.top_k))],
+    ),
+    "ablate-diversity": Ablation(
+        "train with and without the diversity loss",
+        ("lambda_dqp", "centroid_mean_abs_cos", "val_mse"),
+        lambda c: [("no_diversity", dict(lambda_dqp=0.0), QuantizeMode.adaptive(c.top_k)),
+                   ("with_diversity", dict(lambda_dqp=c.lambda_dqp if c.lambda_dqp > 0 else 0.25),
+                    QuantizeMode.adaptive(c.top_k))],
+    ),
+}
 
 
-def _write_rows(path, header: Sequence[str], rows: Sequence[Sequence[object]]):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([str(v) for v in row])
-
-
-def _cmd_ablate_warmup(args) -> int:
-    config = _load_config_arg(args.config)
-    workdir = Path(args.workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for tag, frac in (("with_warmup", config.warmup_fraction), ("no_warmup", 0.0)):
-        ckpt = _run_variant(config, workdir, tag, warmup_fraction=frac)
-        stats = _val_stats(config, ckpt, QuantizeMode.adaptive(config.top_k))
-        rows.append([tag, repr(frac), repr(stats.mean_mse), repr(stats.mean_psnr),
-                     repr(stats.mean_ssim), repr(stats.mean_count)])
-    _write_rows(args.out, ["setting", "warmup_fraction", "val_mse", "psnr",
-                           "ssim", "mean_count"], rows)
-    print(f"comparison: {args.out}")
-    return 0
-
-
-def _cmd_ablate_topk(args) -> int:
-    config = _load_config_arg(args.config)
-    workdir = Path(args.workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    variants = [
-        ("top1", dict(quantize_mode="top1"), QuantizeMode.top1()),
-        ("fixed_top_n", dict(quantize_mode="fixed"),
-         QuantizeMode.fixed_top_n(config.fixed_n)),
-        ("adaptive", dict(quantize_mode="adaptive"),
-         QuantizeMode.adaptive(config.top_k)),
-    ]
-    rows = []
-    for tag, overrides, mode in variants:
-        ckpt = _run_variant(config, workdir, tag, **overrides)
-        stats = _val_stats(config, ckpt, mode)
-        rows.append([tag, repr(stats.mean_mse), repr(stats.mean_psnr),
-                     repr(stats.mean_ssim), repr(stats.mean_count)])
-    _write_rows(args.out, ["setting", "val_mse", "psnr", "ssim", "mean_count"], rows)
-    print(f"comparison: {args.out}")
-    return 0
-
-
-def _cmd_ablate_diversity(args) -> int:
-    config = _load_config_arg(args.config)
-    workdir = Path(args.workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    weight = config.lambda_dqp if config.lambda_dqp > 0 else 0.25
-    rows = []
-    for tag, lam in (("no_diversity", 0.0), ("with_diversity", weight)):
-        ckpt = _run_variant(config, workdir, tag, lambda_dqp=lam)
-        model = load_checkpoint(ckpt).model
+def _column(name: str, cfg: TrainConfig, model: Model, stats: EvalStats) -> float:
+    """One report column's value for a trained variant."""
+    if name == "centroid_mean_abs_cos":
         sims = centroid_similarity_matrix(model.codebook)
-        off = sims[~np.eye(sims.shape[0], dtype=bool)]
-        stats = _val_stats(config, ckpt, QuantizeMode.adaptive(config.top_k))
-        rows.append([tag, repr(lam), repr(float(np.mean(np.abs(off)))),
-                     repr(stats.mean_mse)])
-    _write_rows(args.out, ["setting", "lambda_dqp", "centroid_mean_abs_cos",
-                           "val_mse"], rows)
+        return float(np.mean(np.abs(sims[~np.eye(sims.shape[0], dtype=bool)])))
+    if name in FIELD_TYPES:
+        return getattr(cfg, name)
+    return getattr(stats, {"val_mse": "mean_mse", "psnr": "mean_psnr",
+                           "ssim": "mean_ssim"}.get(name, name))
+
+
+def _cmd_ablate(args) -> int:
+    """Train and evaluate each variant of the command's ablation; one row each."""
+    ablation = ABLATIONS[args.command]
+    config = _load_config_arg(args.config)
+    workdir = Path(args.workdir)
+    workdir.mkdir(parents=True, exist_ok=True)
+    _, val = build_datasets(config)
+    rows = [["setting", *ablation.columns]]
+    for tag, overrides, mode in ablation.variants(config):
+        cfg = replace(config, metrics_path=str(workdir / f"{tag}_metrics.csv"),
+                      checkpoint_path=str(workdir / f"{tag}.ckpt"), **overrides)
+        model = load_checkpoint(run_training(cfg)[0]).model
+        stats = evaluate_reconstruction(model, val, mode)
+        rows.append([tag] + [repr(_column(c, cfg, model, stats)) for c in ablation.columns])
+    with open(args.out, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
     print(f"comparison: {args.out}")
     return 0
 
@@ -292,40 +278,25 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated forced counts to sweep before adaptive")
     p.set_defaults(fn=_cmd_eval)
 
-    p = sub.add_parser("reconstruct", help="round-trip a PGM through the tokenizer")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    p.set_defaults(fn=_cmd_reconstruct)
-
-    p = sub.add_parser("heatmap", help="export the per-patch allocation heatmap")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    p.set_defaults(fn=_cmd_heatmap)
+    for name, fn, text in (
+        ("reconstruct", _cmd_reconstruct, "round-trip a PGM through the tokenizer"),
+        ("heatmap", _cmd_heatmap, "export the per-patch allocation heatmap"),
+    ):
+        p = sub.add_parser(name, help=text)
+        for flag in ("--checkpoint", "--input", "--output"):
+            p.add_argument(flag, required=True)
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("gradcheck", help="verify all analytic gradients")
     p.add_argument("--seeds", type=int, default=5)
     p.set_defaults(fn=_cmd_gradcheck)
 
-    p = sub.add_parser("ablate-warmup", help="train with and without warm-up")
-    p.add_argument("--config")
-    p.add_argument("--out", default="ablate_warmup.csv")
-    p.add_argument("--workdir", default="ablate_warmup_runs")
-    p.set_defaults(fn=_cmd_ablate_warmup)
-
-    p = sub.add_parser("ablate-topk", help="train top1 / fixed / adaptive variants")
-    p.add_argument("--config")
-    p.add_argument("--out", default="ablate_topk.csv")
-    p.add_argument("--workdir", default="ablate_topk_runs")
-    p.set_defaults(fn=_cmd_ablate_topk)
-
-    p = sub.add_parser("ablate-diversity",
-                       help="train with and without the diversity loss")
-    p.add_argument("--config")
-    p.add_argument("--out", default="ablate_diversity.csv")
-    p.add_argument("--workdir", default="ablate_diversity_runs")
-    p.set_defaults(fn=_cmd_ablate_diversity)
+    for name, ablation in ABLATIONS.items():
+        p = sub.add_parser(name, help=ablation.help)
+        p.add_argument("--config")
+        p.add_argument("--out", default=f"{name.replace('-', '_')}.csv")
+        p.add_argument("--workdir", default=f"{name.replace('-', '_')}_runs")
+        p.set_defaults(fn=_cmd_ablate)
     return parser
 
 

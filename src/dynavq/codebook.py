@@ -75,18 +75,16 @@ def centroids(cb: Codebook) -> Array:
     return cb.entries.mean(axis=1)
 
 
-def diversity_loss(
-    cents: Array, eps: float = DEFAULT_NORM_EPS
-) -> Tuple[float, Array]:
+def diversity_loss(cents: Array) -> Tuple[float, Array]:
     """Mean pairwise absolute cosine similarity of the centroids.
 
     Averages |cos(c_j, c_k)| over the unordered centroid pairs, so
     alignment is penalized in either direction and the loss is minimized
     exactly at mutual orthogonality (a plain signed mean would instead
     reward antipodal collapse, which leaves the centroids just as
-    redundant). Row norms are clamped at ``eps``; a clamped row is treated
-    as having constant norm, which keeps the gradient exact on either side
-    of the clamp.
+    redundant). Row norms are clamped at DEFAULT_NORM_EPS; a clamped row
+    is treated as having constant norm, which keeps the gradient exact on
+    either side of the clamp.
 
     Returns (loss, gradient w.r.t. the centroid matrix). A single centroid
     has no pairs and yields (0.0, zeros).
@@ -98,7 +96,7 @@ def diversity_loss(
     if m < 2:
         return 0.0, np.zeros_like(c)
     true_norms = np.sqrt(np.einsum("id,id->i", c, c, optimize=False))
-    norms = np.maximum(true_norms, eps)
+    norms = np.maximum(true_norms, DEFAULT_NORM_EPS)
     unit = c / norms[:, None]
     sims = np.einsum("id,jd->ij", unit, unit, optimize=False)
     pair_count = m * (m - 1)
@@ -108,7 +106,7 @@ def diversity_loss(
 
     coef = 2.0 / pair_count
     abs_offdiag_sum = (signs * sims).sum(axis=1)
-    unclamped = (true_norms > eps).astype(np.float64)
+    unclamped = (true_norms > DEFAULT_NORM_EPS).astype(np.float64)
     grad = coef * (
         signs @ unit - (abs_offdiag_sum * unclamped)[:, None] * unit
     ) / norms[:, None]

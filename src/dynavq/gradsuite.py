@@ -2,8 +2,11 @@
 
 Each check builds a small random problem, evaluates the analytic backward
 pass, and compares it against central differences through the real
-forward code. The quantizer check resamples until the top-n selection has
-a safe margin, since the selection itself is intentionally treated as a
+forward code. The checks take the forms training runs: the losses
+weighted per row, the allocator over two images with zero columns between
+them, and each layer's gradient into its input as well as into its
+parameters. The quantizer check resamples until the top-n selection has a
+safe margin, since the selection itself is intentionally treated as a
 constant by the backward pass.
 """
 
@@ -22,7 +25,6 @@ from dynavq.allocator import (
     init_allocator,
 )
 from dynavq.autoencoder import (
-    MlpParams,
     init_decoder,
     init_encoder,
     mlp_backward,
@@ -65,6 +67,35 @@ def _unravel(vec: np.ndarray, like):
     return type(like)(**arrays)
 
 
+def _row_weights(rng: np.random.Generator, rows: int) -> np.ndarray:
+    """Random positive per-row loss weights summing to 1."""
+    w = rng.uniform(0.5, 1.5, size=rows)
+    return w / w.sum()
+
+
+def _check_layer(forward, backward, params, input_shape, seed: int, eps, rel_tol) -> GradReport:
+    """A layer's gradients into its parameters and its input, for the
+    scalar ``sum(coeff * forward(x, params)[0])`` at a random input."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=input_shape)
+    coeff = rng.normal(size=forward(x, params)[0].shape)
+    split = _ravel(params).size
+
+    def unpack(vec):
+        return vec[split:].reshape(input_shape), _unravel(vec[:split], params)
+
+    def f(vec):
+        return float(np.sum(coeff * forward(*unpack(vec))[0]))
+
+    def g(vec):
+        x, p = unpack(vec)
+        grads, d_x = backward(coeff, forward(x, p)[1], p)
+        return np.concatenate([_ravel(grads), d_x.ravel()])
+
+    point = np.concatenate([_ravel(params), x.ravel()])
+    return grad_check(f, g, point, eps=eps, rel_tol=rel_tol)
+
+
 def check_diversity(seed: int, eps=DEFAULT_EPS, rel_tol=DEFAULT_REL_TOL) -> GradReport:
     cents = np.random.default_rng(seed).normal(size=(4, 3))
     return grad_check(
@@ -79,9 +110,10 @@ def check_diversity(seed: int, eps=DEFAULT_EPS, rel_tol=DEFAULT_REL_TOL) -> Grad
 def check_dpa_loss(seed: int, eps=DEFAULT_EPS, rel_tol=DEFAULT_REL_TOL) -> GradReport:
     rng = np.random.default_rng(seed)
     targets = rng.uniform(0.1, 1.0, size=10)
+    weights = _row_weights(rng, 10)
     return grad_check(
-        lambda r: dpa_loss(r, targets)[0],
-        lambda r: dpa_loss(r, targets)[1],
+        lambda r: dpa_loss(r, targets, weights)[0],
+        lambda r: dpa_loss(r, targets, weights)[1],
         rng.uniform(0.0, 1.0, size=10),
         eps=eps,
         rel_tol=rel_tol,
@@ -89,23 +121,10 @@ def check_dpa_loss(seed: int, eps=DEFAULT_EPS, rel_tol=DEFAULT_REL_TOL) -> GradR
 
 
 def check_allocator(seed: int, eps=DEFAULT_EPS, rel_tol=DEFAULT_REL_TOL) -> GradReport:
-    rng = np.random.default_rng(seed)
-    dim, length = 6, 8
-    params = init_allocator(dim, seed + 1)
-    z = rng.normal(size=(length, dim))
-    coeff = rng.normal(size=length)
-
-    def f(vec):
-        ratios, _ = allocator_forward(z, _unravel(vec, params))
-        return float(coeff @ ratios)
-
-    def g(vec):
-        p = _unravel(vec, params)
-        ratios, cache = allocator_forward(z, p)
-        grads, _ = allocator_backward(coeff, cache, p)
-        return _ravel(grads)
-
-    return grad_check(f, g, _ravel(params), eps=eps, rel_tol=rel_tol)
+    """Two images of 5 and 3 patches, convolved with zero columns between."""
+    forward = partial(allocator_forward, offsets=np.array([0, 5, 8]))
+    return _check_layer(forward, allocator_backward, init_allocator(6, seed + 1), (8, 6),
+                        seed, eps, rel_tol)
 
 
 def _stable_quantizer_setup(seed: int):
@@ -157,40 +176,24 @@ def check_quantizer(
     return grad_check(f, g, cb.entries, eps=eps, rel_tol=rel_tol)
 
 
-def _check_mlp(params: MlpParams, rows: int, seed: int, eps, rel_tol) -> GradReport:
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(rows, params.in_dim))
-    coeff = rng.normal(size=(rows, params.out_dim))
-
-    def f(vec):
-        out, _ = mlp_forward(x, _unravel(vec, params))
-        return float(np.sum(coeff * out))
-
-    def g(vec):
-        p = _unravel(vec, params)
-        out, cache = mlp_forward(x, p)
-        grads, _ = mlp_backward(coeff, cache, p)
-        return _ravel(grads)
-
-    return grad_check(f, g, _ravel(params), eps=eps, rel_tol=rel_tol)
-
-
 def check_encoder(seed: int, eps=DEFAULT_EPS, rel_tol=DEFAULT_REL_TOL) -> GradReport:
-    return _check_mlp(init_encoder(4, 6, 8, seed + 11), rows=3, seed=seed,
-                      eps=eps, rel_tol=rel_tol)
+    return _check_layer(mlp_forward, mlp_backward, init_encoder(4, 6, 8, seed + 11), (3, 16),
+                        seed, eps, rel_tol)
 
 
 def check_decoder(seed: int, eps=DEFAULT_EPS, rel_tol=DEFAULT_REL_TOL) -> GradReport:
-    return _check_mlp(init_decoder(4, 6, 8, seed + 17), rows=3, seed=seed,
-                      eps=eps, rel_tol=rel_tol)
+    """Its input gradient is the one the quantizer passes straight through."""
+    return _check_layer(mlp_forward, mlp_backward, init_decoder(4, 6, 8, seed + 17), (3, 8),
+                        seed, eps, rel_tol)
 
 
 def check_reconstruction(seed: int, eps=DEFAULT_EPS, rel_tol=DEFAULT_REL_TOL) -> GradReport:
     rng = np.random.default_rng(seed)
     img = rng.uniform(size=(6, 6))
+    weights = _row_weights(rng, 6)
     return grad_check(
-        lambda r: reconstruction_loss(img, r)[0],
-        lambda r: reconstruction_loss(img, r)[1],
+        lambda r: reconstruction_loss(img, r, weights)[0],
+        lambda r: reconstruction_loss(img, r, weights)[1],
         rng.uniform(size=(6, 6)),
         eps=eps,
         rel_tol=rel_tol,
@@ -198,30 +201,26 @@ def check_reconstruction(seed: int, eps=DEFAULT_EPS, rel_tol=DEFAULT_REL_TOL) ->
 
 
 def check_commitment(seed: int, eps=DEFAULT_EPS, rel_tol=DEFAULT_REL_TOL) -> GradReport:
+    """Both gradients at the stacked point (z, q). Each term stops the
+    gradient of the other side, so each is probed against the other
+    side held at the point."""
     rng = np.random.default_rng(seed)
     beta = 0.25
-    q = rng.normal(size=(4, 5))
+    q0 = rng.normal(size=(4, 5))
     z0 = rng.normal(size=(4, 5))
-    enc = grad_check(
-        lambda z: beta * float(np.mean(((z - q) ** 2).sum(axis=1))),
-        lambda z: commitment_loss(z, q, beta)[1],
-        z0,
+    weights = _row_weights(rng, 4)
+
+    def f(zq):
+        z, q = zq
+        return (beta * float(weights @ ((z - q0) ** 2).sum(axis=1))
+                + float(weights @ ((z0 - q) ** 2).sum(axis=1)))
+
+    return grad_check(
+        f,
+        lambda zq: np.stack(commitment_loss(zq[0], zq[1], beta, weights)[1:]),
+        np.stack([z0, q0]),
         eps=eps,
         rel_tol=rel_tol,
-    )
-    cbk = grad_check(
-        lambda qq: float(np.mean(((z0 - qq) ** 2).sum(axis=1))),
-        lambda qq: commitment_loss(z0, qq, beta)[2],
-        q,
-        eps=eps,
-        rel_tol=rel_tol,
-    )
-    worst = enc if enc.max_rel_diff >= cbk.max_rel_diff else cbk
-    return GradReport(
-        max_abs_diff=max(enc.max_abs_diff, cbk.max_abs_diff),
-        max_rel_diff=worst.max_rel_diff,
-        passed=enc.passed and cbk.passed,
-        probe_count=enc.probe_count + cbk.probe_count,
     )
 
 

@@ -59,8 +59,9 @@ def _per_image(values: np.ndarray) -> Union[float, np.ndarray]:
     return float(values) if values.ndim == 0 else values
 
 
-def psnr(a: Array, b: Array, max_val: float = 1.0) -> Union[float, np.ndarray]:
-    """Peak signal-to-noise ratio in dB; identical images give the cap.
+def psnr(a: Array, b: Array) -> Union[float, np.ndarray]:
+    """Peak signal-to-noise ratio in dB for a peak of 1; identical images
+    give the cap.
 
     A pair of (H, W) images gives a float; leading axes give one value per
     image, equal bit for bit to scoring each image alone.
@@ -68,31 +69,26 @@ def psnr(a: Array, b: Array, max_val: float = 1.0) -> Union[float, np.ndarray]:
     x, y = _image_pair(a, b)
     mse = np.mean((x - y) ** 2, axis=(-2, -1))
     with np.errstate(divide="ignore"):
-        db = 10.0 * np.log10(max_val * max_val / mse)
+        db = 10.0 * np.log10(1.0 / mse)
     return _per_image(np.where(mse == 0.0, PSNR_CAP_DB, db))
 
 
-def ssim(
-    a: Array,
-    b: Array,
-    window: int = SSIM_WINDOW,
-    k1: float = 0.01,
-    k2: float = 0.03,
-) -> Union[float, np.ndarray]:
+def ssim(a: Array, b: Array, window: int = SSIM_WINDOW) -> Union[float, np.ndarray]:
     """Mean structural similarity over non-overlapping windows.
 
     Uses the standard luminance/contrast/structure product per window with
-    population statistics and dynamic range 1. Ragged edge pixels beyond
-    the last full window are ignored. Every window is reduced at once: the
-    images are reshaped to (window rows, window cols, window^2 pixels).
+    population statistics, dynamic range 1 and constants k1 = 0.01,
+    k2 = 0.03. Ragged edge pixels beyond the last full window are ignored.
+    Every window is reduced at once: the images are reshaped to (window
+    rows, window cols, window^2 pixels).
     A pair of (H, W) images gives a float; leading axes give one value per
     image, equal bit for bit to scoring each image alone.
     """
     x, y = _image_pair(a, b)
     if x.shape[-2] < window or x.shape[-1] < window:
         raise ValueError(f"images must be at least {window}x{window}")
-    c1 = (k1 * 1.0) ** 2
-    c2 = (k2 * 1.0) ** 2
+    c1 = 0.01 ** 2
+    c2 = 0.03 ** 2
     lead = x.shape[:-2]
     rows = x.shape[-2] // window
     cols = x.shape[-1] // window
@@ -196,20 +192,14 @@ def spearman(a: Array, b: Array) -> float:
     return float((da * db).sum() / np.sqrt((da * da).sum() * (db * db).sum()))
 
 
-def centroid_similarity_matrix(cb: Codebook, path=None) -> np.ndarray:
+def centroid_similarity_matrix(cb: Codebook) -> np.ndarray:
     """Pairwise cosine similarities between sub-codebook centroids.
 
     The diagonal is pinned to exactly 1 (cosine of a vector with itself).
-    Optionally exported as CSV.
     """
     cents = centroids(cb)
     sims = cosine_similarity_matrix(cents, cents)
     np.fill_diagonal(sims, 1.0)
-    if path is not None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in sims:
-                writer.writerow([repr(float(v)) for v in row])
     return sims
 
 

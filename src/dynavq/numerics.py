@@ -33,18 +33,17 @@ def check_finite(name: str, arr: Array) -> Array:
     return out
 
 
-def cosine_similarity_matrix(a: Array, b: Array, eps: float = DEFAULT_NORM_EPS) -> Array:
+def cosine_similarity_matrix(a: Array, b: Array) -> Array:
     """Pairwise cosine similarity between the rows of two matrices.
 
-    Row norms are clamped below at ``eps`` so zero rows yield 0 similarity
-    rather than NaN. The dot products are computed with a fixed scalar
-    reduction order (no BLAS), which makes the result exactly symmetric
-    under swapping the arguments and transposing.
+    Row norms are clamped below at DEFAULT_NORM_EPS so zero rows yield 0
+    similarity rather than NaN. The dot products are computed with a fixed
+    scalar reduction order (no BLAS), which makes the result exactly
+    symmetric under swapping the arguments and transposing.
 
     Args:
         a: n x d matrix.
         b: m x d matrix.
-        eps: positive norm clamp.
 
     Returns:
         n x m matrix with entries in [-1, 1] up to float slack.
@@ -57,13 +56,11 @@ def cosine_similarity_matrix(a: Array, b: Array, eps: float = DEFAULT_NORM_EPS) 
         raise ValueError(
             f"dimension mismatch: left has {a.shape[1]} columns, right has {b.shape[1]}"
         )
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     # optimize=False keeps einsum on its sequential C kernel: entry (i, j)
     # then depends only on the two rows, so sim(A,B) == sim(B,A).T exactly.
     dots = np.einsum("id,jd->ij", a, b, optimize=False)
-    na = np.maximum(np.sqrt(np.einsum("id,id->i", a, a, optimize=False)), eps)
-    nb = np.maximum(np.sqrt(np.einsum("id,id->i", b, b, optimize=False)), eps)
+    na = np.maximum(np.sqrt(np.einsum("id,id->i", a, a, optimize=False)), DEFAULT_NORM_EPS)
+    nb = np.maximum(np.sqrt(np.einsum("id,id->i", b, b, optimize=False)), DEFAULT_NORM_EPS)
     return dots / np.outer(na, nb)
 
 

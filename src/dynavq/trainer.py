@@ -482,7 +482,10 @@ def run_training(
     for parent in {metrics_path.parent, final_path.parent}:
         parent.mkdir(parents=True, exist_ok=True)
 
-    with open(metrics_path, "w", newline="") as fh:
+    # A diverging run overflows before total_loss names the non-finite
+    # loss; numpy's warnings would come first and name nothing.
+    quiet = np.errstate(over="ignore", invalid="ignore")
+    with open(metrics_path, "w", newline="") as fh, quiet:
         fh.write(METRICS_HEADER + "\n")
         for step in range(state.step, config.total_steps):
             batch = _batch_images(train, config, step)

@@ -13,6 +13,7 @@ import contextlib
 import dataclasses
 import io
 import tempfile
+import warnings
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -394,3 +395,21 @@ def test_a_diverging_run_names_the_step_and_its_abort_checkpoint(workdir):
         f"is saved in {abort}"
     ) in message
     assert load_checkpoint(abort).step == 1
+
+
+def test_a_diverging_run_warns_nothing_before_its_error(workdir):
+    """The same diverging run, with every warning recorded, emits none and
+    still exits 1 with the same message."""
+    work = Path(tempfile.mkdtemp(dir=workdir))
+    config = work / "run.cfg"
+    outputs = {"metrics_path": work / "m.csv", "checkpoint_path": work / "c.ckpt"}
+    config.write_text(config_text({**TINY, "learning_rate": "1e300", **outputs}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status, message = run_quietly(["train", "--config", str(config)])
+    assert [str(w.message) for w in caught] == []
+    assert status == 1
+    assert (
+        "step 1: non-finite loss component: rec; the state before this step "
+        f"is saved in {work / 'c.ckpt.abort'}"
+    ) in message

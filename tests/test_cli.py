@@ -1,12 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dynavq.checkpoint import CheckpointData, load_checkpoint, save_checkpoint
 from dynavq.cli import ConfigError, parse_config, run_command
 from dynavq.dataio import export_dataset, gen_synthetic, load_raster, save_raster
-from dynavq.metrics import evaluate_reconstruction
+from dynavq.metrics import centroid_similarity_matrix, evaluate_reconstruction
+from dynavq.quantizer import QuantizeMode
 from dynavq.seeding import derive_seed
-from dynavq.trainer import build_datasets, init_state
+from dynavq.trainer import build_datasets, init_state, run_training
 
 
 CONFIG_SMALL = """
@@ -27,6 +30,40 @@ seed = 3
 """
 
 MIX = (0.25, 0.25, 0.25, 0.25)
+
+
+ADAPTIVE = QuantizeMode.adaptive(8)  # CONFIG_SMALL's top_k
+
+#: Each ablation's rows on CONFIG_SMALL with quantize_mode = fixed (and
+#: the default fixed_n of 10): setting, config overrides and evaluation
+#: mode. Only the top-k variants are evaluated in the mode they train in.
+ABLATION_VARIANTS = {
+    "ablate-warmup": [("with_warmup", {"warmup_fraction": 0.25}, ADAPTIVE),
+                      ("no_warmup", {"warmup_fraction": 0.0}, ADAPTIVE)],
+    "ablate-topk": [("top1", {"quantize_mode": "top1"}, QuantizeMode.top1()),
+                    ("fixed_top_n", {"quantize_mode": "fixed"}, QuantizeMode.fixed_top_n(10)),
+                    ("adaptive", {"quantize_mode": "adaptive"}, ADAPTIVE)],
+    "ablate-diversity": [("no_diversity", {"lambda_dqp": 0.0}, ADAPTIVE),
+                         ("with_diversity", {"lambda_dqp": 0.25}, ADAPTIVE)],
+}
+
+ABLATION_HEADERS = {
+    "ablate-warmup": "setting,warmup_fraction,val_mse,psnr,ssim,mean_count",
+    "ablate-topk": "setting,val_mse,psnr,ssim,mean_count",
+    "ablate-diversity": "setting,lambda_dqp,centroid_mean_abs_cos,val_mse",
+}
+
+
+def ablation_values(command, cfg, model, stats):
+    """A report row's values after its setting name."""
+    quality = [stats.mean_mse, stats.mean_psnr, stats.mean_ssim, stats.mean_count]
+    if command == "ablate-warmup":
+        return [cfg.warmup_fraction] + quality
+    if command == "ablate-topk":
+        return quality
+    sims = centroid_similarity_matrix(model.codebook)
+    off_diagonal = sims[~np.eye(len(sims), dtype=bool)]
+    return [cfg.lambda_dqp, float(np.mean(np.abs(off_diagonal))), stats.mean_mse]
 
 
 def write_config(tmp_path, body=CONFIG_SMALL, **extra):
@@ -394,6 +431,30 @@ class TestRunCommand:
         assert [line.split(",")[0] for line in lines] == [
             "setting", "with_warmup", "no_warmup",
         ]
+
+    @pytest.mark.parametrize("command", sorted(ABLATION_VARIANTS))
+    def test_ablation_rows_hold_the_recomputed_values(self, tmp_path, command):
+        """Every row, value for value, as training and evaluating its
+        variant gives it, at quantize_mode = fixed."""
+        cfg_path = write_config(tmp_path, quantize_mode="fixed")
+        out = tmp_path / "report.csv"
+        assert run_command([
+            command, "--config", str(cfg_path),
+            "--out", str(out), "--workdir", str(tmp_path / "runs"),
+        ]) == 0
+        config = parse_config(cfg_path)
+        _, val = build_datasets(config)
+        lines = [ABLATION_HEADERS[command]]
+        for setting, overrides, mode in ABLATION_VARIANTS[command]:
+            cfg = replace(
+                config, metrics_path=str(tmp_path / f"{setting}_metrics.csv"),
+                checkpoint_path=str(tmp_path / f"{setting}.ckpt"), **overrides,
+            )
+            model = load_checkpoint(run_training(cfg)[0]).model
+            stats = evaluate_reconstruction(model, val, mode)
+            values = ablation_values(command, cfg, model, stats)
+            lines.append(",".join([setting] + [repr(v) for v in values]))
+        assert out.read_text().splitlines() == lines
 
     def test_bad_config_returns_one(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

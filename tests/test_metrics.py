@@ -202,14 +202,6 @@ class TestCentroidMatrix:
         sims = centroid_similarity_matrix(cb)
         assert sims[0, 1] == 0.0
 
-    def test_csv_export(self, tmp_path):
-        cb = init_codebook(3, 4, 2, seed=1)
-        path = tmp_path / "cents.csv"
-        sims = centroid_similarity_matrix(cb, path)
-        rows = [line.split(",") for line in path.read_text().strip().splitlines()]
-        parsed = np.array([[float(v) for v in row] for row in rows])
-        assert np.array_equal(parsed, sims)
-
 
 @pytest.fixture(scope="module")
 def setup():
